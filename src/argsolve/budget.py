@@ -81,33 +81,34 @@ def removal_sets(framework: Framework, beta) -> tuple[RemovalSet, ...]:
 
 
 def _grounded_of_reduction(
-    framework: Framework,
-    removal: RemovalSet,
-    config: SearchConfig,
-    cache: dict[int, int],
+    framework: Framework, removal: RemovalSet, config: SearchConfig
 ) -> int:
-    remaining_mask = 0
-    for idx in range(len(framework.attacks)):
-        if idx not in removal.attack_indices:
-            remaining_mask |= 1 << idx
-    if remaining_mask in cache:
-        return cache[remaining_mask]
     reduced = framework.without_attacks(removal.attack_indices)
     request = EncodingRequest(reduced, SemanticsSpec(GROUNDED), config)
     outcome = enumerate_extensions(request)
     (extension,) = outcome.solutions
-    cache[remaining_mask] = extension.bits
     return extension.bits
 
 
 def wge(framework: Framework, beta, config: SearchConfig = SearchConfig()) -> ExtensionSet:
     """Grounded extensions of every within-budget reduction, deduplicated."""
-    cache: dict[int, int] = {}
     bits = {
-        _grounded_of_reduction(framework, removal, config, cache)
+        _grounded_of_reduction(framework, removal, config)
         for removal in removal_sets(framework, beta)
     }
     return ExtensionSet.of(Extension(b, framework.n) for b in bits)
+
+
+def _first_reduction(
+    framework: Framework, beta, argument: int, member: bool, config: SearchConfig
+) -> "Extension | None":
+    """Grounded extension of the first within-budget reduction whose
+    membership of ``argument`` equals ``member``, or None."""
+    for removal in removal_sets(framework, beta):
+        bits = _grounded_of_reduction(framework, removal, config)
+        if bool(bits >> argument & 1) == member:
+            return Extension(bits, framework.n)
+    return None
 
 
 def credulous(
@@ -115,12 +116,8 @@ def credulous(
 ) -> "tuple[bool, Extension | None]":
     """Is the argument in some budgeted grounded extension? Returns the
     witness extension when one exists."""
-    cache: dict[int, int] = {}
-    for removal in removal_sets(framework, beta):
-        bits = _grounded_of_reduction(framework, removal, config, cache)
-        if bits >> argument & 1:
-            return True, Extension(bits, framework.n)
-    return False, None
+    witness = _first_reduction(framework, beta, argument, member=True, config=config)
+    return witness is not None, witness
 
 
 def skeptical(
@@ -128,12 +125,8 @@ def skeptical(
 ) -> "tuple[bool, Extension | None]":
     """Is the argument in every budgeted grounded extension? Returns a
     counterexample extension when not."""
-    cache: dict[int, int] = {}
-    for removal in removal_sets(framework, beta):
-        bits = _grounded_of_reduction(framework, removal, config, cache)
-        if not bits >> argument & 1:
-            return False, Extension(bits, framework.n)
-    return True, None
+    counterexample = _first_reduction(framework, beta, argument, member=False, config=config)
+    return counterexample is None, counterexample
 
 
 def minimal_budget(
@@ -148,7 +141,6 @@ def minimal_budget(
     weights = _require_cost_weights(framework)
     if target.n != framework.n:
         raise ValueError("target size does not match the framework")
-    cache: dict[int, int] = {}
     best: "tuple[int, RemovalSet] | None" = None
     chosen: list[int] = []
 
@@ -158,7 +150,7 @@ def minimal_budget(
             return
         if index == len(weights):
             removal = RemovalSet(tuple(chosen), total)
-            if _grounded_of_reduction(framework, removal, config, cache) == target.bits:
+            if _grounded_of_reduction(framework, removal, config) == target.bits:
                 best = (total, removal)
             return
         walk(index + 1, total)

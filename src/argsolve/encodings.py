@@ -2,6 +2,11 @@
 the inclusion-extremal kinds, the preferred-membership decision, and
 user-supplied side requirements.
 
+The inclusion-extremal kinds keep the subset-extremal members of a base
+family with an output-sensitive filter (``extremal``): its cost grows
+with the number of candidates times the number of extremal keys, not
+with the square of the candidates.
+
 Classical models are exact. Weighted models are exact for the
 conflict-free, admissible and complete families; the strict weighted
 stable family over-approximates in the model (the outsider weight
@@ -18,6 +23,7 @@ in-degree of the attacked parents. That is fine at the intended scale
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 from . import oracle
 from .engine import (
@@ -31,7 +37,7 @@ from .engine import (
     solve_all,
     solve_within_budget,
 )
-from .model import Extension, ExtensionSet, Framework, extremal
+from .model import Extension, ExtensionSet, Framework
 from .oracle import (
     ADMISSIBLE,
     BASE_KINDS,
@@ -236,6 +242,38 @@ def apply_user_requirements(model: Model, requirements) -> Model:
     return replace(model, conditionals=model.conditionals + extra)
 
 
+def extremal(
+    items: Sequence[Extension],
+    direction: str,
+    keys: "Sequence[int] | None" = None,
+) -> list[Extension]:
+    """Keep the elements whose key bitset is subset-maximal or -minimal.
+
+    Same contract as ``model.extremal``: ``keys`` defaults to the
+    membership bitsets, elements with equal keys are all kept, and the
+    input order is preserved. The distinct keys are visited by popcount,
+    descending for ``max`` and ascending for ``min``, and each is tested
+    only against the keys kept so far. A strict superset (for ``max``)
+    has more bits, so it is visited first and is either kept or covered
+    by a kept key; the sweep is therefore exact and costs O(k*m) for k
+    distinct keys and m extremal ones.
+    """
+    if direction not in (MAX, MIN):
+        raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
+    if keys is None:
+        keys = [e.bits for e in items]
+    maximal = direction == MAX
+    kept: list[int] = []
+    for key in sorted(set(keys), key=int.bit_count, reverse=maximal):
+        for other in kept:
+            if key & other == (key if maximal else other):
+                break
+        else:
+            kept.append(key)
+    extremal_keys = set(kept)
+    return [e for e, key in zip(items, keys) if key in extremal_keys]
+
+
 def _solve(model: Model, config: SearchConfig) -> SolveOutcome:
     if model.threshold is not None:
         return solve_within_budget(model, config)
@@ -270,7 +308,8 @@ def enumerate_extensions(
 
     Base kinds are one solver run. The inclusion-extremal kinds first
     enumerate their base family and then keep the subset-extremal
-    elements; a timeout anywhere marks the outcome incomplete.
+    elements with the output-sensitive ``extremal`` filter; a timeout
+    anywhere marks the outcome incomplete.
     """
     kind = request.spec.kind
     f = request.framework

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Sequence
 
-from .model import Extension, ExtensionSet
+from .model import Extension, ExtensionSet, iter_bits
 from .semiring import Semiring, SemiringValue
 
 # A total assignment maps variable index -> 0/1, kept as a plain tuple.
@@ -212,14 +212,14 @@ class _Solver:
 
         self.watch_ng: list[list[int]] = [[] for _ in range(n)]
         for idx, (pos, neg) in enumerate(self.nogood_masks):
-            for var in _vars_of(pos | neg):
+            for var in iter_bits(pos | neg):
                 self.watch_ng[var].append(idx)
         self.watch_cd: list[list[int]] = [[] for _ in range(n)]
         for idx, (guard, cons) in enumerate(self.cond_masks):
             involved = 0
             for pos, neg in guard + cons:
                 involved |= pos | neg
-            for var in _vars_of(involved):
+            for var in iter_bits(involved):
                 self.watch_cd[var].append(idx)
 
         self.order = self._static_order()
@@ -398,13 +398,6 @@ class _Solver:
         elapsed = (time.monotonic() - start) * 1000.0
         extensions = ExtensionSet.of(Extension(bits, self.n) for bits in self.solutions)
         return SolveOutcome(extensions, self.complete, elapsed, self.nodes, self.config.seed)
-
-
-def _vars_of(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def solve_all(model: Model, config: SearchConfig = SearchConfig()) -> SolveOutcome:

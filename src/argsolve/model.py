@@ -115,6 +115,9 @@ def extremal(
 
     ``keys`` defaults to the membership bitsets themselves. Elements
     with equal keys are all kept, so the result is an antichain of keys.
+
+    This is the literal pairwise O(k^2) reference kept for the oracle;
+    the solver pipeline uses the output-sensitive ``encodings.extremal``.
     """
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")

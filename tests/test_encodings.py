@@ -9,11 +9,13 @@ from argsolve.encodings import (
     apply_user_requirements,
     encode,
     enumerate_extensions,
+    extremal,
     filter_extremal,
     is_preferred,
 )
 from argsolve.engine import Literal, SearchConfig, solve_all
-from argsolve.model import Extension, ExtensionSet
+from argsolve.model import Extension, ExtensionSet, Framework
+from argsolve.model import extremal as model_extremal
 from argsolve.oracle import (
     ADMISSIBLE,
     ALL_KINDS,
@@ -170,6 +172,27 @@ class TestFilterExtremal:
             kept = filter_extremal(sets, rng.choice(["max", "min"]))
             for a, b in itertools.permutations(kept, 2):
                 assert not (a.bits != b.bits and a.bits & b.bits == a.bits)
+
+    def test_sweep_matches_the_pairwise_reference(self):
+        rng = random.Random(2013)
+        for trial in range(400):
+            n = rng.randint(1, 10)
+            items = [Extension(rng.randrange(1 << n), n) for _ in range(rng.randint(1, 30))]
+            items += rng.choices(items, k=rng.randint(0, 4))
+            rng.shuffle(items)
+            if trial % 3 == 0:
+                keys = None
+            elif trial % 3 == 1:
+                pool = [rng.randrange(1 << n) for _ in range(rng.randint(1, 6))]
+                keys = [rng.choice(pool) for _ in items]
+            else:
+                pairs = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))}
+                f = Framework(n, tuple(pairs))
+                keys = [f.range_of(e).bits for e in items]
+            for direction in ("max", "min"):
+                assert extremal(items, direction, keys) == model_extremal(items, direction, keys), (
+                    f"trial {trial}, {direction}, keys={keys}"
+                )
 
 
 class TestIsPreferred:
