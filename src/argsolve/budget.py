@@ -7,12 +7,18 @@ reductions form the budgeted grounded family. On top of that sit the
 three decision problems: credulous and sceptical membership of an
 argument, and minimality of a budget for a target set.
 
-Weights must come from the integer-cost instance; the sums are exact.
+All of them consume one lazy walk that yields removal sets lightest
+first (ties by attack indices), so each stops where its answer is
+settled and none recurses. Weights must come from the integer-cost
+instance; the sums are exact.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .encodings import EncodingRequest, enumerate_extensions
 from .engine import SearchConfig
@@ -53,31 +59,42 @@ def _check_beta(beta) -> int:
     return beta
 
 
-def removal_sets(framework: Framework, beta) -> tuple[RemovalSet, ...]:
-    """All attack subsets with total weight at most ``beta``.
+def _lightest_first(weights: list[int]) -> Iterator[RemovalSet]:
+    """Every attack subset, ordered by total weight and then by attack
+    indices, generated lazily best-first.
 
-    Depth-first over the attack list with prefix-sum pruning; the empty
-    removal always qualifies.
+    The attacks are ranked by (weight, index). A set's two successors add
+    the attack ranked after its last one, or swap its last one for that
+    attack; every subset has exactly one predecessor. Because every
+    weight is at least 1 (a zero cost is the semiring top, which
+    frameworks reject), a successor never sorts before its predecessor,
+    so popping a heap of the frontier yields the sets in order.
     """
+    rank = sorted(range(len(weights)), key=lambda i: (weights[i], i))
+    yield RemovalSet((), 0)
+    heap = [(weights[rank[0]], (rank[0],), 0)] if rank else []
+    while heap:
+        total, indices, last = heapq.heappop(heap)
+        yield RemovalSet(indices, total)
+        if last + 1 == len(rank):
+            continue
+        new, old = rank[last + 1], rank[last]
+        heapq.heappush(heap, (total + weights[new], tuple(sorted(indices + (new,))), last + 1))
+        swapped = tuple(sorted(i for i in indices + (new,) if i != old))
+        heapq.heappush(heap, (total - weights[old] + weights[new], swapped, last + 1))
+
+
+def _sets_within(framework: Framework, beta) -> Iterator[RemovalSet]:
     beta = _check_beta(beta)
-    weights = _require_cost_weights(framework)
-    found: list[RemovalSet] = []
-    chosen: list[int] = []
+    sets = _lightest_first(_require_cost_weights(framework))
+    return itertools.takewhile(lambda r: r.total_weight <= beta, sets)
 
-    def walk(index: int, total: int) -> None:
-        if index == len(weights):
-            found.append(RemovalSet(tuple(chosen), total))
-            return
-        walk(index + 1, total)
-        extended = total + weights[index]
-        if extended <= beta:
-            chosen.append(index)
-            walk(index + 1, extended)
-            chosen.pop()
 
-    walk(0, 0)
-    found.sort(key=lambda r: (r.total_weight, r.attack_indices))
-    return tuple(found)
+def removal_sets(framework: Framework, beta) -> tuple[RemovalSet, ...]:
+    """All attack subsets with total weight at most ``beta``, ordered by
+    total weight and then by attack indices; the empty removal always
+    qualifies."""
+    return tuple(_sets_within(framework, beta))
 
 
 def _grounded_of_reduction(
@@ -86,6 +103,8 @@ def _grounded_of_reduction(
     reduced = framework.without_attacks(removal.attack_indices)
     request = EncodingRequest(reduced, SemanticsSpec(GROUNDED), config)
     outcome = enumerate_extensions(request)
+    if not outcome.complete:
+        raise TimeoutError("the grounded search of a budget reduction was cut by the timeout")
     (extension,) = outcome.solutions
     return extension.bits
 
@@ -94,7 +113,7 @@ def wge(framework: Framework, beta, config: SearchConfig = SearchConfig()) -> Ex
     """Grounded extensions of every within-budget reduction, deduplicated."""
     bits = {
         _grounded_of_reduction(framework, removal, config)
-        for removal in removal_sets(framework, beta)
+        for removal in _sets_within(framework, beta)
     }
     return ExtensionSet.of(Extension(b, framework.n) for b in bits)
 
@@ -104,7 +123,7 @@ def _first_reduction(
 ) -> "Extension | None":
     """Grounded extension of the first within-budget reduction whose
     membership of ``argument`` equals ``member``, or None."""
-    for removal in removal_sets(framework, beta):
+    for removal in _sets_within(framework, beta):
         bits = _grounded_of_reduction(framework, removal, config)
         if bool(bits >> argument & 1) == member:
             return Extension(bits, framework.n)
@@ -135,33 +154,22 @@ def minimal_budget(
     config: SearchConfig = SearchConfig(),
 ) -> "tuple[int | None, RemovalSet | None]":
     """Least total removal weight that makes ``target`` a grounded
-    extension of the reduction, with the cheapest removal set as
-    witness; (None, None) when no removal set reaches the target.
+    extension of the reduction, with a witness removal set; (None, None)
+    when no removal set reaches the target.
+
+    Removal sets are tried lightest first, ties broken by attack indices
+    (the order of ``removal_sets``), so the walk stops at the first hit
+    and the witness is the first set in that order that reaches the
+    target. An unreachable target still costs every subset of the
+    attacks, and the walk has no overall deadline.
     """
     weights = _require_cost_weights(framework)
     if target.n != framework.n:
         raise ValueError("target size does not match the framework")
-    best: "tuple[int, RemovalSet] | None" = None
-    chosen: list[int] = []
-
-    def walk(index: int, total: int) -> None:
-        nonlocal best
-        if best is not None and total >= best[0]:
-            return
-        if index == len(weights):
-            removal = RemovalSet(tuple(chosen), total)
-            if _grounded_of_reduction(framework, removal, config) == target.bits:
-                best = (total, removal)
-            return
-        walk(index + 1, total)
-        chosen.append(index)
-        walk(index + 1, total + weights[index])
-        chosen.pop()
-
-    walk(0, 0)
-    if best is None:
-        return None, None
-    return best[0], best[1]
+    for removal in _lightest_first(weights):
+        if _grounded_of_reduction(framework, removal, config) == target.bits:
+            return removal.total_weight, removal
+    return None, None
 
 
 def is_minimal(framework: Framework, target: Extension, beta) -> bool:

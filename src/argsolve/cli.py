@@ -2,7 +2,9 @@
 problems on them, and run the benchmark protocol.
 
 Exit codes: 0 success, 2 usage error, 3 input-format error, 4 when a
-search was interrupted by the timeout (override with --timeout-ok).
+search was interrupted by the timeout (``solve`` listings accept that
+with --timeout-ok; a decision cut by the timeout has no answer and
+always exits 4).
 """
 
 from __future__ import annotations
@@ -286,30 +288,30 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _semantics_spec(args, framework: Framework) -> SemanticsSpec:
-    name = args.semantics
+def _semantics_spec(
+    name: str, alpha: "str | None", stable_rule: str, framework: Framework
+) -> SemanticsSpec:
+    """Spec for a semantics name such as ``alpha-stable``; ``alpha`` is
+    the unparsed --alpha text and ``stable_rule`` applies to alpha-stable."""
     weighted = name.startswith(_ALPHA_PREFIX)
     kind = name[len(_ALPHA_PREFIX):] if weighted else name
     if weighted != framework.is_weighted:
         if weighted:
             raise _UsageError("alpha- semantics need a weighted instance")
         raise _UsageError("weighted instances are solved with the alpha- semantics")
-    alpha = None
-    if weighted:
-        if args.alpha is None:
-            raise _UsageError("the alpha- semantics need --alpha")
-        try:
-            alpha = parse_scalar(args.alpha)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
-        if alpha.tag != framework.semiring.tag:
-            raise _UsageError(
-                f"--alpha {args.alpha} does not match the instance's weight kind"
-            )
-    elif args.alpha is not None:
-        raise _UsageError("--alpha only applies to the alpha- semantics")
-    stable_rule = args.stable_rule if weighted and kind == STABLE else None
-    return SemanticsSpec(kind, weighted, alpha, stable_rule)
+    if not weighted:
+        if alpha is not None:
+            raise _UsageError("--alpha only applies to the alpha- semantics")
+        return SemanticsSpec(kind)
+    if alpha is None:
+        raise _UsageError("the alpha- semantics need --alpha")
+    try:
+        value = parse_scalar(alpha)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    if value.tag != framework.semiring.tag:
+        raise _UsageError(f"--alpha {alpha} does not match the instance's weight kind")
+    return SemanticsSpec(kind, True, value, stable_rule if kind == STABLE else None)
 
 
 def _search_config(args) -> SearchConfig:
@@ -341,7 +343,7 @@ def _cmd_solve(args) -> int:
 
     if args.semantics is None:
         raise _UsageError("--semantics is required unless --check-preferred is used")
-    spec = _semantics_spec(args, framework)
+    spec = _semantics_spec(args.semantics, args.alpha, args.stable_rule, framework)
     config = _search_config(args)
     requirements = tuple(_parse_requirement(e, framework) for e in args.require)
     requirements += tuple(_parse_forbid(e, framework) for e in args.forbid)
@@ -457,10 +459,7 @@ def run_bench(plan: BenchPlan) -> list[dict]:
                 )
                 framework = netgen.generate(spec)
             for name in plan.semantics:
-                run_args = argparse.Namespace(
-                    semantics=name, alpha=plan.alpha, stable_rule=STRICT
-                )
-                spec_obj = _semantics_spec(run_args, framework)
+                spec_obj = _semantics_spec(name, plan.alpha, STRICT, framework)
                 config = SearchConfig(timeout_ms=plan.timeout_ms)
                 started = time.monotonic()
                 outcome = enumerate_extensions(
@@ -557,6 +556,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except TimeoutError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -10,9 +10,9 @@ with the square of the candidates.
 Classical models are exact. Weighted models are exact for the
 conflict-free, admissible and complete families; the strict weighted
 stable family over-approximates in the model (the outsider weight
-comparison is applied during leaf validation). Leaf validation, on by
-default, re-checks every candidate against the definition-level
-checkers before it is emitted.
+comparison is applied during leaf validation). Leaf validation, always
+on, re-checks every candidate against the definition-level checkers
+before it is emitted.
 
 The weighted admissibility and completeness constraints enumerate
 attacker subsets explicitly, so they grow exponentially with the
@@ -34,6 +34,7 @@ from .engine import (
     Nogood,
     SearchConfig,
     SolveOutcome,
+    satisfies,
     solve_all,
     solve_within_budget,
 )
@@ -79,24 +80,25 @@ class EncodingRequest:
     requirements: tuple[UserRequirement, ...] = ()
 
 
-def _nogood(literals) -> "Nogood | None":
-    """Deduplicated nogood, or None when the pattern is unsatisfiable
-    (it then never fires and is dropped)."""
+def _pattern(literals) -> "tuple[Literal, ...] | None":
+    """The literals deduplicated and sorted by variable, or None when
+    they contradict each other (such a pattern can never hold, so the
+    nogood or guard built from it is dropped)."""
     values: dict[int, int] = {}
     for lit in literals:
         if values.setdefault(lit.var, lit.value) != lit.value:
             return None
-    return Nogood(tuple(Literal(v, values[v]) for v in sorted(values)))
+    return tuple(Literal(v, values[v]) for v in sorted(values))
 
 
-def _guard_pattern(literals) -> "tuple[tuple[Literal, ...], ...] | None":
-    """Unit-clause guard for a specific assignment pattern; None when
-    contradictory."""
-    values: dict[int, int] = {}
-    for lit in literals:
-        if values.setdefault(lit.var, lit.value) != lit.value:
-            return None
-    return tuple((Literal(v, values[v]),) for v in sorted(values))
+def _stable_nogoods(f: Framework) -> list[Nogood]:
+    """Every argument is in or attacked by a member. Weighted models keep
+    only this attack-existence pattern; the strict weight comparison
+    against the threshold happens at leaf validation."""
+    return [
+        Nogood(_pattern([Literal(ai, 0)] + [Literal(p, 0) for p in sorted(f.attackers(ai))]))
+        for ai in range(f.n)
+    ]
 
 
 def encode(framework: Framework, spec: SemanticsSpec) -> Model:
@@ -115,17 +117,14 @@ def _encode_classical(f: Framework, spec: SemanticsSpec) -> Model:
     conditionals: list[ConditionalRequirement] = []
 
     for src, dst in f.attacks:
-        ng = _nogood([Literal(src, 1), Literal(dst, 1)])
-        if ng is not None:
-            nogoods.append(ng)
+        nogoods.append(Nogood(_pattern([Literal(src, 1), Literal(dst, 1)])))
 
     if spec.kind in (ADMISSIBLE, COMPLETE):
         for ai in range(f.n):
             for p in sorted(f.attackers(ai)):
-                lits = [Literal(ai, 1)] + [Literal(g, 0) for g in sorted(f.attackers(p))]
-                ng = _nogood(lits)
-                if ng is not None:
-                    nogoods.append(ng)
+                pattern = _pattern([Literal(ai, 1)] + [Literal(g, 0) for g in sorted(f.attackers(p))])
+                if pattern is not None:
+                    nogoods.append(Nogood(pattern))
 
     if spec.kind == COMPLETE:
         for ai in range(f.n):
@@ -145,11 +144,7 @@ def _encode_classical(f: Framework, spec: SemanticsSpec) -> Model:
             )
 
     if spec.kind == STABLE:
-        for ai in range(f.n):
-            lits = [Literal(ai, 0)] + [Literal(p, 0) for p in sorted(f.attackers(ai))]
-            ng = _nogood(lits)
-            if ng is not None:
-                nogoods.append(ng)
+        nogoods += _stable_nogoods(f)
 
     return Model(f.n, tuple(nogoods), tuple(conditionals))
 
@@ -183,9 +178,9 @@ def _encode_weighted(f: Framework, spec: SemanticsSpec) -> Model:
                     lits = [Literal(ai, 1), Literal(p, 0)]
                     lits += [Literal(g, 1) for g in taken]
                     lits += [Literal(g, 0) for g in grands if g not in taken]
-                    ng = _nogood(lits)
-                    if ng is not None:
-                        nogoods.append(ng)
+                    pattern = _pattern(lits)
+                    if pattern is not None:
+                        nogoods.append(Nogood(pattern))
 
     if spec.kind == COMPLETE:
         for ai in range(f.n):
@@ -206,23 +201,14 @@ def _encode_weighted(f: Framework, spec: SemanticsSpec) -> Model:
                 lits = [Literal(p, 0) for p in parents]
                 lits += [Literal(g, 1) for g in sorted(taken)]
                 lits += [Literal(g, 0) for g in grand_union if g not in taken]
-                guard = _guard_pattern(lits)
-                if guard is None:
-                    continue
-                if any(lit.var == ai and lit.value == 1 for clause in guard for lit in clause):
-                    continue  # consequence already part of the pattern
-                conditionals.append(
-                    ConditionalRequirement(guard, ((Literal(ai, 1),),))
-                )
+                pattern = _pattern(lits)
+                if pattern is None or Literal(ai, 1) in pattern:
+                    continue  # contradictory, or the consequence is part of the pattern
+                guard = tuple((lit,) for lit in pattern)
+                conditionals.append(ConditionalRequirement(guard, ((Literal(ai, 1),),)))
 
     if spec.kind == STABLE:
-        # Both modes keep the attack-existence pattern; the strict weight
-        # comparison against the threshold happens at leaf validation.
-        for ai in range(f.n):
-            lits = [Literal(ai, 0)] + [Literal(p, 0) for p in sorted(f.attackers(ai))]
-            ng = _nogood(lits)
-            if ng is not None:
-                nogoods.append(ng)
+        nogoods += _stable_nogoods(f)
 
     return Model(
         f.n,
@@ -284,26 +270,16 @@ def _rebase(spec: SemanticsSpec, kind: str) -> SemanticsSpec:
     return SemanticsSpec(kind, spec.weighted, spec.alpha)
 
 
-def _enumerate_base(
-    request: EncodingRequest, kind: str, leaf_validation: bool
-) -> SolveOutcome:
+def _enumerate_base(request: EncodingRequest, kind: str) -> SolveOutcome:
     spec = _rebase(request.spec, kind) if kind != request.spec.kind else request.spec
     model = encode(request.framework, spec)
     model = apply_user_requirements(model, request.requirements)
     outcome = _solve(model, request.config)
-    if leaf_validation:
-        kept = [
-            ext
-            for ext in outcome.solutions
-            if oracle.check(request.framework, ext, spec)
-        ]
-        outcome = replace(outcome, solutions=ExtensionSet.of(kept))
-    return outcome
+    kept = [ext for ext in outcome.solutions if oracle.check(request.framework, ext, spec)]
+    return replace(outcome, solutions=ExtensionSet.of(kept))
 
 
-def enumerate_extensions(
-    request: EncodingRequest, *, leaf_validation: bool = True
-) -> SolveOutcome:
+def enumerate_extensions(request: EncodingRequest) -> SolveOutcome:
     """Enumerate all extensions of the requested semantics.
 
     Base kinds are one solver run. The inclusion-extremal kinds first
@@ -316,28 +292,28 @@ def enumerate_extensions(
     spec = request.spec
 
     if kind in BASE_KINDS:
-        return _enumerate_base(request, kind, leaf_validation)
+        return _enumerate_base(request, kind)
 
     if kind == PREFERRED:
-        base = _enumerate_base(request, ADMISSIBLE, leaf_validation)
+        base = _enumerate_base(request, ADMISSIBLE)
         kept = extremal(list(base.solutions), MAX)
         return replace(base, solutions=ExtensionSet.of(kept))
 
     if kind == GROUNDED:
-        base = _enumerate_base(request, COMPLETE, leaf_validation)
+        base = _enumerate_base(request, COMPLETE)
         kept = extremal(list(base.solutions), MIN)
         return replace(base, solutions=ExtensionSet.of(kept))
 
     if kind in (SEMI_STABLE, STAGE):
         base_kind = COMPLETE if kind == SEMI_STABLE else CONFLICT_FREE
-        base = _enumerate_base(request, base_kind, leaf_validation)
+        base = _enumerate_base(request, base_kind)
         solutions = list(base.solutions)
         keys = [_range_key(f, ext, spec) for ext in solutions]
         kept = extremal(solutions, MAX, keys)
         return replace(base, solutions=ExtensionSet.of(kept))
 
     if kind == IDEAL:
-        base = _enumerate_base(request, ADMISSIBLE, leaf_validation)
+        base = _enumerate_base(request, ADMISSIBLE)
         admissible = list(base.solutions)
         preferred = extremal(admissible, MAX)
         common = (1 << f.n) - 1 if f.n else 0
@@ -384,20 +360,6 @@ def filter_extremal(
     return ExtensionSet.of(extremal(items, direction, keys))
 
 
-def _satisfies(model: Model, bits: int) -> bool:
-    def lit_holds(lit: Literal) -> bool:
-        return (bits >> lit.var & 1) == lit.value
-
-    for ng in model.nogoods:
-        if all(lit_holds(l) for l in ng.literals):
-            return False
-    for cond in model.conditionals:
-        if all(any(lit_holds(l) for l in clause) for clause in cond.guard):
-            if not all(any(lit_holds(l) for l in clause) for clause in cond.consequence):
-                return False
-    return True
-
-
 def is_preferred(
     framework: Framework,
     candidate: Extension,
@@ -407,14 +369,15 @@ def is_preferred(
 
     The candidate must satisfy the admissibility model, and the same
     model restricted to strict supersets of the candidate must be
-    unsatisfiable.
+    unsatisfiable. Raises ``TimeoutError`` when the timeout cuts that
+    probe before it finds a superset.
     """
     if framework.is_weighted:
         raise ValueError("the preferred decision works on classical frameworks")
     if candidate.n != framework.n:
         raise ValueError("candidate size does not match the framework")
     model = encode(framework, SemanticsSpec(ADMISSIBLE))
-    if not _satisfies(model, candidate.bits):
+    if not satisfies(model, candidate.bits):
         return False
     outside = [i for i in range(framework.n) if i not in candidate]
     if not outside:
@@ -423,4 +386,6 @@ def is_preferred(
     superset = Nogood(tuple(Literal(i, 0) for i in outside))
     probe = replace(model, nogoods=model.nogoods + forcing + (superset,))
     outcome = solve_all(probe, replace(config, solution_cap=1))
-    return len(outcome.solutions) == 0
+    if not outcome.complete and not outcome.solutions:
+        raise TimeoutError("the preferred probe was cut by the timeout")
+    return not outcome.solutions

@@ -9,6 +9,12 @@ propagate once their guard is entailed. For thresholded models a
 branch is cut as soon as the cost already incurred can no longer meet
 the threshold, which is sound because combination is monotone.
 
+One iterative walk (``_Solver.leaves``) serves every search: it keeps an
+explicit stack instead of recursing, so the number of variables is not
+bounded by the interpreter's recursion limit. Enumeration, budget
+solving and the branch-and-bound ``blevel`` differ only in the bound
+that decides whether a branch is kept.
+
 Search is deterministic for a fixed model and configuration, including
 the seeded value-ordering heuristic.
 """
@@ -18,7 +24,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from random import Random
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .model import Extension, ExtensionSet, iter_bits
 from .semiring import Semiring, SemiringValue
@@ -177,10 +183,6 @@ class SolveOutcome:
     seed: "int | None" = None
 
 
-class _Interrupted(Exception):
-    pass
-
-
 def _masks(literals) -> tuple[int, int]:
     pos = neg = 0
     for lit in literals:
@@ -192,10 +194,9 @@ def _masks(literals) -> tuple[int, int]:
 
 
 class _Solver:
-    def __init__(self, model: Model, config: SearchConfig, budget_mode: bool):
+    def __init__(self, model: Model, config: SearchConfig):
         self.model = model
         self.config = config
-        self.budget_mode = budget_mode
         n = model.num_vars
         self.n = n
         self.full_mask = (1 << n) - 1
@@ -228,10 +229,8 @@ class _Solver:
         self.assigned = 0
         self.values = 0
         self.trail: list[int] = []
-        self.solutions: list[int] = []
         self.nodes = 0
         self.complete = True
-        self.deadline = 0.0
 
     def _static_order(self) -> list[int]:
         if self.config.var_heuristic == INPUT_ORDER:
@@ -359,44 +358,60 @@ class _Solver:
         first = self.rng.randint(0, 1)
         return (first, 1 - first)
 
-    def _record_leaf(self) -> None:
-        if self.budget_mode and not self._within_budget():
-            return
-        self.solutions.append(self.values & self.full_mask)
-        cap = self.config.solution_cap
-        if cap is not None and len(self.solutions) >= cap:
-            self.complete = False
-            raise _Interrupted
+    def leaves(self, keep: "Callable[[], bool]") -> Iterator[int]:
+        """Yield the bitset of every total assignment that satisfies the
+        hard constraints and passes ``keep``.
 
-    def _dfs(self) -> None:
-        if time.monotonic() > self.deadline:
-            self.complete = False
-            raise _Interrupted
-        var = self._next_var()
-        if var is None:
-            self._record_leaf()
+        The walk is depth-first with an explicit stack of (variable,
+        remaining values, trail mark), so its depth is not bounded by the
+        interpreter's recursion limit. ``keep`` is asked after root
+        propagation and after every later propagation; a rejected branch
+        is cut. On timeout the walk stops and ``complete`` turns false.
+        """
+        deadline = time.monotonic() + self.config.timeout_ms / 1000.0
+        if not (self._propagate_roots() and keep()):
             return
-        for value in self._value_order():
-            self.nodes += 1
-            mark = len(self.trail)
-            self._set(var, value)
-            ok = self._propagate([var])
-            if ok and self.budget_mode:
-                ok = self._within_budget()
-            if ok:
-                self._dfs()
-            self._undo(mark)
+        trail = self.trail
+        stack: list[tuple[int, Iterator[int], int]] = []
+        while True:
+            if time.monotonic() > deadline:
+                self.complete = False
+                return
+            var = self._next_var()
+            if var is None:
+                yield self.values & self.full_mask
+            else:
+                stack.append((var, iter(self._value_order()), len(trail)))
+            # Backtrack to the next child that survives propagation and keep.
+            while stack:
+                var, values, mark = stack[-1]
+                if len(trail) > mark:
+                    self._undo(mark)
+                value = next(values, None)
+                if value is None:
+                    stack.pop()
+                    continue
+                self.nodes += 1
+                self._set(var, value)
+                if self._propagate([var]) and keep():
+                    break
+            else:
+                return
 
     def run(self) -> SolveOutcome:
+        """All solutions up to the cap; thresholded models keep only
+        branches whose cost still meets the threshold."""
         start = time.monotonic()
-        self.deadline = start + self.config.timeout_ms / 1000.0
-        try:
-            if self._propagate_roots():
-                self._dfs()
-        except _Interrupted:
-            pass
+        keep = (lambda: True) if self.model.threshold is None else self._within_budget
+        cap = self.config.solution_cap
+        solutions: list[int] = []
+        for bits in self.leaves(keep):
+            solutions.append(bits)
+            if cap is not None and len(solutions) >= cap:
+                self.complete = False
+                break
         elapsed = (time.monotonic() - start) * 1000.0
-        extensions = ExtensionSet.of(Extension(bits, self.n) for bits in self.solutions)
+        extensions = ExtensionSet.of(Extension(bits, self.n) for bits in solutions)
         return SolveOutcome(extensions, self.complete, elapsed, self.nodes, self.config.seed)
 
 
@@ -404,14 +419,14 @@ def solve_all(model: Model, config: SearchConfig = SearchConfig()) -> SolveOutco
     """Enumerate every assignment satisfying the hard constraints."""
     if model.cost_terms and model.threshold is not None:
         raise ValueError("thresholded models are solved with solve_within_budget")
-    return _Solver(model, config, budget_mode=False).run()
+    return _Solver(model, config).run()
 
 
 def solve_within_budget(model: Model, config: SearchConfig = SearchConfig()) -> SolveOutcome:
     """Enumerate assignments whose accumulated cost still meets the threshold."""
     if model.semiring is None or model.threshold is None:
         raise ValueError("budget solving needs a semiring and a threshold")
-    return _Solver(model, config, budget_mode=True).run()
+    return _Solver(model, config).run()
 
 
 def _bits_of(assignment: Sequence[int], num_vars: int) -> int:
@@ -425,27 +440,34 @@ def _bits_of(assignment: Sequence[int], num_vars: int) -> int:
     return bits
 
 
-def evaluate(model: Model, assignment: Sequence[int]) -> SemiringValue:
-    """Combined cost of a total assignment; hard violations yield bottom."""
-    if model.semiring is None:
-        raise ValueError("evaluation needs a semiring")
-    s = model.semiring
-    bits = _bits_of(assignment, model.num_vars)
+def satisfies(model: Model, bits: int) -> bool:
+    """Does the total assignment ``bits`` meet every hard constraint?"""
 
     def lit_holds(lit: Literal) -> bool:
         return (bits >> lit.var & 1) == lit.value
 
     for ng in model.nogoods:
         if all(lit_holds(l) for l in ng.literals):
-            return s.bottom
+            return False
     for cond in model.conditionals:
-        guard_holds = all(any(lit_holds(l) for l in clause) for clause in cond.guard)
-        if guard_holds and not all(
-            any(lit_holds(l) for l in clause) for clause in cond.consequence
-        ):
-            return s.bottom
+        if all(any(lit_holds(l) for l in clause) for clause in cond.guard):
+            if not all(any(lit_holds(l) for l in clause) for clause in cond.consequence):
+                return False
+    return True
+
+
+def evaluate(model: Model, assignment: Sequence[int]) -> SemiringValue:
+    """Combined cost of a total assignment; hard violations yield bottom."""
+    if model.semiring is None:
+        raise ValueError("evaluation needs a semiring")
+    s = model.semiring
+    bits = _bits_of(assignment, model.num_vars)
+    if not satisfies(model, bits):
+        return s.bottom
     return s.combine(
-        term.cost for term in model.cost_terms if all(lit_holds(l) for l in term.trigger)
+        term.cost
+        for term in model.cost_terms
+        if all((bits >> l.var & 1) == l.value for l in term.trigger)
     )
 
 
@@ -453,37 +475,21 @@ def blevel(model: Model, config: SearchConfig = SearchConfig()) -> SemiringValue
     """Best combined cost over all total assignments, by branch and bound.
 
     Branches whose already-incurred cost cannot beat the best found so
-    far are cut; hard violations count as bottom. On timeout the best
-    value found so far is returned.
+    far are cut; hard violations count as bottom. Raises
+    ``TimeoutError`` when the search is cut by the timeout, since a
+    partial best is not the best level.
     """
     if model.semiring is None:
         raise ValueError("blevel needs a semiring")
     s = model.semiring
-    solver = _Solver(model, config, budget_mode=False)
+    solver = _Solver(model, config)
     best = s.bottom
-    deadline = time.monotonic() + config.timeout_ms / 1000.0
 
-    def dfs() -> None:
-        nonlocal best
-        if time.monotonic() > deadline:
-            raise _Interrupted
-        combined = solver._combined_cost()
-        if s.leq(combined, best):
-            return
-        var = solver._next_var()
-        if var is None:
-            best = s.plus(best, combined)
-            return
-        for value in solver._value_order():
-            mark = len(solver.trail)
-            solver._set(var, value)
-            if solver._propagate([var]):
-                dfs()
-            solver._undo(mark)
+    def beats_best() -> bool:
+        return not s.leq(solver._combined_cost(), best)
 
-    try:
-        if solver._propagate_roots():
-            dfs()
-    except _Interrupted:
-        pass
+    for _ in solver.leaves(beats_best):
+        best = s.plus(best, solver._combined_cost())
+    if not solver.complete:
+        raise TimeoutError("the blevel search was cut by the timeout")
     return best

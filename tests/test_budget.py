@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from argsolve import netgen
 from argsolve.budget import (
+    RemovalSet,
     credulous,
     is_minimal,
     minimal_budget,
@@ -11,7 +13,10 @@ from argsolve.budget import (
     skeptical,
     wge,
 )
-from argsolve.oracle import GROUNDED, SemanticsSpec, enumerate_bruteforce
+from argsolve.engine import SearchConfig
+from argsolve.model import Framework
+from argsolve.oracle import GROUNDED, SemanticsSpec, enumerate_bruteforce, grounded_fixpoint
+from argsolve.semiring import WEIGHTED, cost_value
 
 from conftest import small_corpus
 
@@ -58,6 +63,31 @@ class TestRemovalSets:
         with pytest.raises(ValueError):
             removal_sets(fig4w, -1)
 
+    def test_order_matches_a_brute_force_filter(self):
+        for f in small_corpus(6, weighted=True, weight_max=3):
+            weights = [w.payload for w in f.weights]
+            for beta in (0, 3, 6):
+                # Every weight is at least 1, so no set of more than beta
+                # attacks fits the budget.
+                expected = sorted(
+                    (sum(weights[i] for i in subset), subset)
+                    for size in range(min(beta, len(weights)) + 1)
+                    for subset in itertools.combinations(range(len(weights)), size)
+                    if sum(weights[i] for i in subset) <= beta
+                )
+                found = [(r.total_weight, r.attack_indices) for r in removal_sets(f, beta)]
+                assert found == expected, (f.attacks, weights, beta)
+
+    def test_zero_budget_on_a_long_ring(self):
+        f = unit_ring(1200)
+        assert removal_sets(f, 0) == (RemovalSet((), 0),)
+        assert len(removal_sets(f, 1)) == 1201
+
+
+def unit_ring(n):
+    attacks = tuple((i, (i + 1) % n) for i in range(n))
+    return Framework(n, attacks, weights=(cost_value(1),) * n, semiring=WEIGHTED)
+
 
 def sum_of(f, attacks):
     return sum(f.weight(s, d).payload for s, d in attacks)
@@ -89,6 +119,15 @@ class TestWge:
         for f in small_corpus(8, weighted=True):
             (expected,) = enumerate_bruteforce(f.unweighted(), SemanticsSpec(GROUNDED))
             assert wge(f, 0).bitsets() == {expected.bits}
+
+    def test_zero_budget_on_a_long_ring(self):
+        assert wge(unit_ring(1200), 0).bitsets() == {0}
+
+    def test_timeout_raises(self):
+        lattice = netgen.generate(netgen.GenSpec(kind="kleinberg", side=3, seed=1, orient="both"))
+        f = netgen.assign_weights(lattice, netgen.WEIGHTS_INT, 2, 9)
+        with pytest.raises(TimeoutError):
+            wge(f, 3, SearchConfig(timeout_ms=0.001))
 
 
 class TestDecisions:
@@ -141,3 +180,9 @@ class TestMinimalBudget:
                 assert target in wge(f, least)
                 if least > 0:
                     assert target not in wge(f, least - 1)
+                first = next(
+                    r
+                    for r in removal_sets(f, least)
+                    if grounded_fixpoint(f.without_attacks(r.attack_indices)) == target
+                )
+                assert removal == first

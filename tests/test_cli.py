@@ -155,6 +155,8 @@ class TestGating:
         rc = main(["solve", str(out), "--semantics", "conflict-free",
                    "--timeout", "0.001", "--timeout-ok"])
         assert rc == 0
+        rc = main(["solve", str(out), "--check-preferred", "", "--timeout", "0.001"])
+        assert rc == 4
 
 
 class TestDecide:
@@ -185,6 +187,15 @@ class TestDecide:
     def test_needs_weighted_input(self, fig4_plain_file):
         assert main(["decide", "credulous-wge", str(fig4_plain_file),
                      "--beta", "1", "--arg", "a"]) == 2
+
+    def test_timeout_is_exit_4(self, fig4_file, monkeypatch, capsys):
+        def cut(*args):
+            raise TimeoutError("the grounded search of a budget reduction was cut by the timeout")
+
+        monkeypatch.setattr("argsolve.budget._grounded_of_reduction", cut)
+        assert main(["decide", "credulous-wge", str(fig4_file),
+                     "--beta", "8", "--arg", "c"]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_flags(self, fig4_file):
         assert main(["decide", "credulous-wge", str(fig4_file), "--beta", "1"]) == 2

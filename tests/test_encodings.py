@@ -35,8 +35,8 @@ from argsolve.semiring import cost_value
 from conftest import small_corpus
 
 
-def run(framework, spec, **kwargs):
-    return enumerate_extensions(EncodingRequest(framework, spec, SearchConfig()), **kwargs)
+def run(framework, spec):
+    return enumerate_extensions(EncodingRequest(framework, spec, SearchConfig()))
 
 
 def bitsets(f, *groups):
@@ -76,6 +76,20 @@ class TestClassicalEncodings:
             stab = run(f, SemanticsSpec(STABLE)).solutions.bitsets()
             assert comp <= adm <= cf
             assert stab <= cf
+
+
+class TestDeepSearch:
+    @pytest.mark.parametrize("kind", [STABLE, COMPLETE])
+    def test_search_deeper_than_the_recursion_limit(self, kind):
+        # 1200 mutual-attack pairs: every pair takes one decision, so the
+        # first extension lies 1200 levels down the search tree.
+        pairs = 1200
+        attacks = [(2 * i, 2 * i + 1) for i in range(pairs)]
+        attacks += [(2 * i + 1, 2 * i) for i in range(pairs)]
+        f = Framework(2 * pairs, tuple(attacks))
+        request = EncodingRequest(f, SemanticsSpec(kind), SearchConfig(solution_cap=1))
+        (extension,) = enumerate_extensions(request).solutions
+        assert len(extension) == pairs
 
 
 class TestWeightedEncodings:

@@ -1,8 +1,11 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
+from argsolve import netgen
+from argsolve.encodings import encode
 from argsolve.engine import (
     ConditionalRequirement,
     CostTerm,
@@ -15,6 +18,7 @@ from argsolve.engine import (
     solve_all,
     solve_within_budget,
 )
+from argsolve.oracle import CONFLICT_FREE, SemanticsSpec
 from argsolve.semiring import WEIGHTED, cost_value
 
 
@@ -247,6 +251,15 @@ class TestBlevel:
     def test_unsatisfiable_is_bottom(self):
         model = Model(1, (ng((0, 0)), ng((0, 1))), semiring=WEIGHTED)
         assert blevel(model) == WEIGHTED.bottom
+
+    def test_timeout_raises(self):
+        lattice = netgen.generate(netgen.GenSpec(kind="kleinberg", side=3, seed=1, orient="both"))
+        weighted = netgen.assign_weights(lattice, netgen.WEIGHTS_INT, 2, 9)
+        spec = SemanticsSpec(CONFLICT_FREE, True, cost_value(10))
+        model = replace(encode(weighted, spec), threshold=None)
+        assert blevel(model) == WEIGHTED.top
+        with pytest.raises(TimeoutError):
+            blevel(model, SearchConfig(timeout_ms=0.001))
 
     def test_matches_brute_force_best(self):
         rng = random.Random(44)
