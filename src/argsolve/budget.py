@@ -172,8 +172,10 @@ def minimal_budget(
     return None, None
 
 
-def is_minimal(framework: Framework, target: Extension, beta) -> bool:
+def is_minimal(
+    framework: Framework, target: Extension, beta, config: SearchConfig = SearchConfig()
+) -> bool:
     """True when ``beta`` is exactly the least budget reaching ``target``."""
     beta = _check_beta(beta)
-    least, _ = minimal_budget(framework, target)
+    least, _ = minimal_budget(framework, target, config)
     return least == beta

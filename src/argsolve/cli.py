@@ -125,6 +125,8 @@ def _build_parser() -> argparse.ArgumentParser:
     decide.add_argument("--beta", type=int)
     decide.add_argument("--arg", dest="argument")
     decide.add_argument("--set", dest="target")
+    decide.add_argument("--timeout", type=float, default=_default_timeout_ms(), metavar="MS",
+                        help="timeout of each reduction's search (also via ARGSOLVE_TIMEOUT_MS)")
 
     bench = sub.add_parser("bench", help="run the benchmark protocol")
     bench.add_argument("--kind", required=True, choices=["barabasi", "kleinberg", "fig4"])
@@ -394,6 +396,7 @@ def _cmd_decide(args) -> int:
             raise _UsageError(str(exc)) from None
 
     try:
+        config = SearchConfig(timeout_ms=args.timeout)
         if args.problem in ("credulous-wge", "skeptical-wge"):
             if args.beta is None or args.argument is None:
                 raise _UsageError("--beta and --arg are required for this problem")
@@ -402,14 +405,14 @@ def _cmd_decide(args) -> int:
             except ValueError as exc:
                 raise _UsageError(str(exc)) from None
             if args.problem == "credulous-wge":
-                verdict, witness = budget_mod.credulous(framework, args.beta, argument)
+                verdict, witness = budget_mod.credulous(framework, args.beta, argument, config)
                 suffix = f" witness={witness.format(names)}" if witness is not None else ""
             else:
-                verdict, counter = budget_mod.skeptical(framework, args.beta, argument)
+                verdict, counter = budget_mod.skeptical(framework, args.beta, argument, config)
                 suffix = f" counterexample={counter.format(names)}" if counter is not None else ""
             print(("true" if verdict else "false") + suffix)
         elif args.problem == "minimal-budget":
-            least, removal = budget_mod.minimal_budget(framework, target_extension())
+            least, removal = budget_mod.minimal_budget(framework, target_extension(), config)
             if least is None:
                 print("none")
             else:
@@ -420,7 +423,7 @@ def _cmd_decide(args) -> int:
         else:
             if args.beta is None:
                 raise _UsageError("--beta is required for this problem")
-            verdict = budget_mod.is_minimal(framework, target_extension(), args.beta)
+            verdict = budget_mod.is_minimal(framework, target_extension(), args.beta, config)
             print("true" if verdict else "false")
     except ValueError as exc:
         raise _UsageError(str(exc)) from None

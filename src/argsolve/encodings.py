@@ -8,16 +8,15 @@ with the number of candidates times the number of extremal keys, not
 with the square of the candidates.
 
 Classical models are exact. Weighted models are exact for the
-conflict-free, admissible and complete families; the strict weighted
+conflict-free, admissible and complete families: the conflict budget is
+a cost term per attack under the threshold alpha, and weighted defense
+and completeness are the engine's native rules, one defense per attack
+and one completeness rule per argument, so the number of constraints
+grows linearly with the graph, whatever the in-degrees. The strict weighted
 stable family over-approximates in the model (the outsider weight
 comparison is applied during leaf validation). Leaf validation, always
 on, re-checks every candidate against the definition-level checkers
 before it is emitted.
-
-The weighted admissibility and completeness constraints enumerate
-attacker subsets explicitly, so they grow exponentially with the
-in-degree of the attacked parents. That is fine at the intended scale
-(small and medium graphs); see the README for the limits.
 """
 
 from __future__ import annotations
@@ -34,6 +33,8 @@ from .engine import (
     Nogood,
     SearchConfig,
     SolveOutcome,
+    WeightedCompleteness,
+    WeightedDefense,
     satisfies,
     solve_all,
     solve_within_budget,
@@ -149,14 +150,7 @@ def _encode_classical(f: Framework, spec: SemanticsSpec) -> Model:
     return Model(f.n, tuple(nogoods), tuple(conditionals))
 
 
-def _defense_holds(f: Framework, parent: int, child: int, taken: tuple[int, ...]) -> bool:
-    s = f.semiring
-    counter = s.combine(f.weight(g, parent) for g in taken)
-    return s.gt(f.weight(parent, child), counter)
-
-
 def _encode_weighted(f: Framework, spec: SemanticsSpec) -> Model:
-    s = f.semiring
     cost_terms = []
     for idx, (src, dst) in enumerate(f.attacks):
         trigger = (
@@ -164,64 +158,44 @@ def _encode_weighted(f: Framework, spec: SemanticsSpec) -> Model:
         )
         cost_terms.append(CostTerm(trigger, f.weights[idx]))
 
-    nogoods: list[Nogood] = []
-    conditionals: list[ConditionalRequirement] = []
+    def counters(parent: int) -> tuple:
+        # A parent that attacks itself is out whenever it must be beaten,
+        # so its own attack never counts.
+        return tuple((g, w) for g, w in f.attacks_onto(parent) if g != parent)
+
+    defenses: list[WeightedDefense] = []
+    completeness: list[WeightedCompleteness] = []
 
     if spec.kind in (ADMISSIBLE, COMPLETE):
         for ai in range(f.n):
-            for p in sorted(f.attackers(ai)):
-                grands = sorted(f.attackers(p))
-                for take in range(1 << len(grands)):
-                    taken = tuple(g for k, g in enumerate(grands) if take >> k & 1)
-                    if _defense_holds(f, p, ai, taken):
-                        continue
-                    lits = [Literal(ai, 1), Literal(p, 0)]
-                    lits += [Literal(g, 1) for g in taken]
-                    lits += [Literal(g, 0) for g in grands if g not in taken]
-                    pattern = _pattern(lits)
-                    if pattern is not None:
-                        nogoods.append(Nogood(pattern))
+            for p, w in f.attacks_onto(ai):
+                if p != ai:  # a member never has itself outside
+                    defenses.append(WeightedDefense(ai, p, w, counters(p)))
 
     if spec.kind == COMPLETE:
         for ai in range(f.n):
-            parents = sorted(f.attackers(ai))
-            defenders: set[int] = set()
-            for p in parents:
-                defenders |= f.attackers(p)
-            # Parents are pinned to 0 by the guard, so they never defend.
-            grand_union = sorted(defenders - set(parents))
-            for take in range(1 << len(grand_union)):
-                taken = frozenset(g for k, g in enumerate(grand_union) if take >> k & 1)
-                defended = all(
-                    _defense_holds(f, p, ai, tuple(g for g in sorted(f.attackers(p)) if g in taken))
-                    for p in parents
-                )
-                if not defended:
-                    continue
-                lits = [Literal(p, 0) for p in parents]
-                lits += [Literal(g, 1) for g in sorted(taken)]
-                lits += [Literal(g, 0) for g in grand_union if g not in taken]
-                pattern = _pattern(lits)
-                if pattern is None or Literal(ai, 1) in pattern:
-                    continue  # contradictory, or the consequence is part of the pattern
-                guard = tuple((lit,) for lit in pattern)
-                conditionals.append(ConditionalRequirement(guard, ((Literal(ai, 1),),)))
+            rows = tuple((p, w, counters(p)) for p, w in f.attacks_onto(ai))
+            # A parent nobody attacks is never beaten, so the rule never fires.
+            if all(row[2] for row in rows):
+                completeness.append(WeightedCompleteness(ai, rows))
 
-    if spec.kind == STABLE:
-        nogoods += _stable_nogoods(f)
+    nogoods = _stable_nogoods(f) if spec.kind == STABLE else []
 
     return Model(
         f.n,
         tuple(nogoods),
-        tuple(conditionals),
-        tuple(cost_terms),
-        s,
-        spec.alpha,
+        cost_terms=tuple(cost_terms),
+        semiring=f.semiring,
+        threshold=spec.alpha,
+        defenses=tuple(defenses),
+        completeness=tuple(completeness),
     )
 
 
 def apply_user_requirements(model: Model, requirements) -> Model:
     """Append side requirements; the solution set can only shrink."""
+    if not requirements:
+        return model
     extra = tuple(
         ConditionalRequirement(req.guard, req.consequence) for req in requirements
     )
@@ -279,51 +253,60 @@ def _enumerate_base(request: EncodingRequest, kind: str) -> SolveOutcome:
     return replace(outcome, solutions=ExtensionSet.of(kept))
 
 
+# The base family each inclusion-extremal kind is filtered from.
+_BASE_KIND = {
+    PREFERRED: ADMISSIBLE,
+    GROUNDED: COMPLETE,
+    SEMI_STABLE: COMPLETE,
+    STAGE: CONFLICT_FREE,
+    IDEAL: ADMISSIBLE,
+}
+
+
 def enumerate_extensions(request: EncodingRequest) -> SolveOutcome:
     """Enumerate all extensions of the requested semantics.
 
     Base kinds are one solver run. The inclusion-extremal kinds first
-    enumerate their base family and then keep the subset-extremal
-    elements with the output-sensitive ``extremal`` filter; a timeout
-    anywhere marks the outcome incomplete.
+    enumerate their whole base family, ignoring the solution cap, and
+    then keep the subset-extremal elements with the output-sensitive
+    ``extremal`` filter; the cap then applies to those. A member of a
+    cut base family may be dominated by a set the search never reached,
+    so a timeout there returns no members and marks the outcome
+    incomplete.
     """
     kind = request.spec.kind
-    f = request.framework
-    spec = request.spec
-
     if kind in BASE_KINDS:
         return _enumerate_base(request, kind)
+    if kind not in _BASE_KIND:
+        raise ValueError(f"unknown semantics kind {kind!r}")
 
+    config = request.config
+    uncapped = replace(request, config=replace(config, solution_cap=None))
+    base = _enumerate_base(uncapped, _BASE_KIND[kind])
+    if not base.complete:
+        return replace(base, solutions=ExtensionSet())
+    kept = _extremal_members(request.framework, request.spec, list(base.solutions))
+    cap = config.solution_cap
+    if cap is not None and len(kept) > cap:
+        return replace(base, solutions=ExtensionSet.of(kept[:cap]), complete=False)
+    return replace(base, solutions=ExtensionSet.of(kept))
+
+
+def _extremal_members(f: Framework, spec: SemanticsSpec, base: list[Extension]) -> list[Extension]:
+    """The members of the extremal kind ``spec.kind`` among its complete
+    base family, in the base family's order."""
+    kind = spec.kind
     if kind == PREFERRED:
-        base = _enumerate_base(request, ADMISSIBLE)
-        kept = extremal(list(base.solutions), MAX)
-        return replace(base, solutions=ExtensionSet.of(kept))
-
+        return extremal(base, MAX)
     if kind == GROUNDED:
-        base = _enumerate_base(request, COMPLETE)
-        kept = extremal(list(base.solutions), MIN)
-        return replace(base, solutions=ExtensionSet.of(kept))
-
+        return extremal(base, MIN)
     if kind in (SEMI_STABLE, STAGE):
-        base_kind = COMPLETE if kind == SEMI_STABLE else CONFLICT_FREE
-        base = _enumerate_base(request, base_kind)
-        solutions = list(base.solutions)
-        keys = [_range_key(f, ext, spec) for ext in solutions]
-        kept = extremal(solutions, MAX, keys)
-        return replace(base, solutions=ExtensionSet.of(kept))
-
-    if kind == IDEAL:
-        base = _enumerate_base(request, ADMISSIBLE)
-        admissible = list(base.solutions)
-        preferred = extremal(admissible, MAX)
-        common = (1 << f.n) - 1 if f.n else 0
-        for ext in preferred:
-            common &= ext.bits
-        candidates = [ext for ext in admissible if ext.bits & ~common == 0]
-        kept = extremal(candidates, MAX)
-        return replace(base, solutions=ExtensionSet.of(kept))
-
-    raise ValueError(f"unknown semantics kind {kind!r}")
+        return extremal(base, MAX, [_range_key(f, ext, spec) for ext in base])
+    # ideal: the largest admissible sets inside every preferred extension.
+    common = (1 << f.n) - 1
+    for ext in extremal(base, MAX):
+        common &= ext.bits
+    return extremal([ext for ext in base if ext.bits & ~common == 0], MAX)
 
 
 def _range_key(f: Framework, ext: Extension, spec: SemanticsSpec) -> int:

@@ -1,13 +1,24 @@
 """Finite-domain search over binary variables.
 
-The engine takes hard constraints (forbidden assignment patterns and
-guarded requirements) plus, for soft models, semiring cost terms with
-an acceptance threshold. Search is depth-first with forward checking:
+The engine takes hard constraints (forbidden assignment patterns,
+guarded requirements, and the weighted defense and completeness rules
+of argumentation) plus, for soft models, semiring cost terms with an
+acceptance threshold. Search is depth-first with forward checking:
 when all but one literal of a forbidden pattern already holds, the
 remaining variable is forced away from it. Guarded requirements
-propagate once their guard is entailed. For thresholded models a
-branch is cut as soon as the cost already incurred can no longer meet
-the threshold, which is sound because combination is monotone.
+propagate once their guard is entailed. A weighted defense fails as
+soon as even the counters still available cannot beat the attack it
+guards against, and forces its child or parent when only one of them
+is open; a weighted completeness rule forces its child in once the
+counters already taken defend it. For thresholded models a branch is
+cut as soon as the cost already incurred can no longer meet the
+threshold. The cost is kept on the trail, combined as cost terms fire
+and restored on backtracking. Every weighted rule is sound because
+combination is monotone: combining more values never gives a better
+one.
+
+Semiring values are validated once, when the ``Model`` is built; the
+search then uses the semiring's unchecked operations.
 
 One iterative walk (``_Solver.leaves``) serves every search: it keeps an
 explicit stack instead of recursing, so the number of variables is not
@@ -112,6 +123,48 @@ class CostTerm:
         _distinct_vars(self.trigger, "cost trigger")
 
 
+# A weighted counterattack: the attacking variable and its attack weight.
+Counter = tuple[int, SemiringValue]
+
+
+def _beats(s: Semiring, counters, chosen: int, incoming: SemiringValue) -> bool:
+    """Do the counters whose variables are in ``chosen`` strictly beat
+    ``incoming``? A stronger attack is a worse value, so the combined
+    counter weight must lie strictly below the incoming weight."""
+    total = s.top
+    for var, weight in counters:
+        if chosen >> var & 1:
+            total = s._times(total, weight)
+    return s._lt(total, incoming)
+
+
+@dataclass(frozen=True)
+class WeightedDefense:
+    """Whenever ``child`` is 1 and ``parent`` is 0, the counters set to 1
+    must strictly beat ``incoming``, the parent's attack on the child.
+
+    ``counters`` pairs each variable that can counterattack the parent
+    with the weight of its attack.
+    """
+
+    child: int
+    parent: int
+    incoming: SemiringValue
+    counters: tuple[Counter, ...]
+
+
+@dataclass(frozen=True)
+class WeightedCompleteness:
+    """Whenever every parent is 0 and, for every row, the counters set to
+    1 strictly beat the row's incoming weight, ``child`` must be 1.
+
+    ``rows`` holds one (parent, incoming, counters) triple per parent.
+    """
+
+    child: int
+    rows: tuple[tuple[int, SemiringValue, tuple[Counter, ...]], ...]
+
+
 @dataclass(frozen=True)
 class Model:
     """Binary variables plus the constraints and costs over them."""
@@ -122,31 +175,65 @@ class Model:
     cost_terms: tuple[CostTerm, ...] = ()
     semiring: "Semiring | None" = None
     threshold: "SemiringValue | None" = None
+    defenses: tuple[WeightedDefense, ...] = ()
+    completeness: tuple[WeightedCompleteness, ...] = ()
 
     def __post_init__(self) -> None:
         if self.num_vars < 0:
             raise ValueError("variable count must be non-negative")
-        for lit in self._all_literals():
-            if lit.var >= self.num_vars:
-                raise ValueError(f"literal over variable {lit.var} outside the model")
+        for var in self._occurrences():
+            if var < 0 or var >= self.num_vars:
+                raise ValueError(f"constraint over variable {var} outside the model")
         if self.cost_terms and self.semiring is None:
             raise ValueError("cost terms require a semiring")
+        if (self.defenses or self.completeness) and self.semiring is None:
+            raise ValueError("weighted defense and completeness require a semiring")
         if self.threshold is not None:
             if self.semiring is None:
                 raise ValueError("a threshold requires a semiring")
             self.semiring.validate(self.threshold)
         if self.semiring is not None:
-            for term in self.cost_terms:
-                self.semiring.validate(term.cost)
+            # Encodings reuse the framework's weight objects: check each once.
+            for value in {id(v): v for v in self._weights()}.values():
+                self.semiring.validate(value)
 
-    def _all_literals(self):
+    def _occurrences(self) -> Iterator[int]:
+        """The variable of every literal and weighted-rule slot, once per
+        occurrence."""
         for ng in self.nogoods:
-            yield from ng.literals
+            for lit in ng.literals:
+                yield lit.var
         for cond in self.conditionals:
             for clause in cond.guard + cond.consequence:
-                yield from clause
+                for lit in clause:
+                    yield lit.var
         for term in self.cost_terms:
-            yield from term.trigger
+            for lit in term.trigger:
+                yield lit.var
+        for d in self.defenses:
+            yield d.child
+            yield d.parent
+            for var, _ in d.counters:
+                yield var
+        for c in self.completeness:
+            yield c.child
+            for parent, _, counters in c.rows:
+                yield parent
+                for var, _ in counters:
+                    yield var
+
+    def _weights(self) -> Iterator[SemiringValue]:
+        for term in self.cost_terms:
+            yield term.cost
+        for d in self.defenses:
+            yield d.incoming
+            for _, weight in d.counters:
+                yield weight
+        for c in self.completeness:
+            for _, incoming, counters in c.rows:
+                yield incoming
+                for _, weight in counters:
+                    yield weight
 
 
 @dataclass(frozen=True)
@@ -197,6 +284,7 @@ class _Solver:
     def __init__(self, model: Model, config: SearchConfig):
         self.model = model
         self.config = config
+        self.semiring = model.semiring
         n = model.num_vars
         self.n = n
         self.full_mask = (1 << n) - 1
@@ -209,7 +297,6 @@ class _Solver:
             )
             for cond in model.conditionals
         ]
-        self.cost_masks = [(*_masks(term.trigger), term.cost) for term in model.cost_terms]
 
         self.watch_ng: list[list[int]] = [[] for _ in range(n)]
         for idx, (pos, neg) in enumerate(self.nogood_masks):
@@ -223,6 +310,28 @@ class _Solver:
             for var in iter_bits(involved):
                 self.watch_cd[var].append(idx)
 
+        self.defenses: list[tuple] = []
+        self.completions: list[tuple] = []
+        self.weighted = bool(model.defenses or model.completeness)
+        if self.weighted:
+            self._watch_weighted_rules()
+
+        # Cost terms fire when the last literal of their trigger is set. The
+        # combined cost and the bitset of fired terms are saved on
+        # ``cost_trail`` and restored on undo. An associative combination
+        # takes one more factor per fired term; otherwise the fired terms
+        # are refolded in model order, the order ``evaluate`` uses.
+        self.cost = model.semiring.top if model.semiring is not None else None
+        self.fired = 0
+        self.cost_trail: list[tuple[int, SemiringValue, int]] = []
+        self.watch_cost = None
+        if model.cost_terms:
+            self.watch_cost = [[[] for _ in range(n)] for _ in (0, 1)]
+            for index, term in enumerate(model.cost_terms):
+                pos, neg = _masks(term.trigger)
+                for lit in term.trigger:
+                    self.watch_cost[lit.value][lit.var].append((pos | neg, pos, index))
+
         self.order = self._static_order()
         self.rng = Random(config.seed) if config.val_heuristic == SEEDED_RANDOM else None
 
@@ -232,12 +341,41 @@ class _Solver:
         self.nodes = 0
         self.complete = True
 
+    def _watch_weighted_rules(self) -> None:
+        """Index the weighted rules per (value, variable), on the
+        assignments that can make them fire: a defense on its child set
+        to 1, its parent or a counter set to 0; a completeness rule on
+        its child or a parent set to 0, or a counter set to 1."""
+        n, s = self.n, self.semiring
+        self.watch_def: list[list[list[int]]] = [[[] for _ in range(n)] for _ in (0, 1)]
+        for idx, d in enumerate(self.model.defenses):
+            mask = 0
+            events = {(1, d.child), (0, d.parent)}
+            for var, _ in d.counters:
+                mask |= 1 << var
+                events.add((0, var))
+            full = _beats(s, d.counters, mask, d.incoming)
+            self.defenses.append((d.child, d.parent, d.incoming, d.counters, mask, full))
+            for value, var in events:
+                self.watch_def[value][var].append(idx)
+        self.watch_cpl: list[list[list[int]]] = [[[] for _ in range(n)] for _ in (0, 1)]
+        for idx, c in enumerate(self.model.completeness):
+            parents = 0
+            events = {(0, c.child)}
+            for parent, _, counters in c.rows:
+                parents |= 1 << parent
+                events.add((0, parent))
+                events |= {(1, var) for var, _ in counters}
+            self.completions.append((c.child, parents, c.rows))
+            for value, var in events:
+                self.watch_cpl[value][var].append(idx)
+
     def _static_order(self) -> list[int]:
         if self.config.var_heuristic == INPUT_ORDER:
             return list(range(self.n))
         counts = [0] * self.n
-        for lit in self.model._all_literals():
-            counts[lit.var] += 1
+        for var in self.model._occurrences():
+            counts[var] += 1
         return sorted(range(self.n), key=lambda v: (-counts[v], v))
 
     # -- propagation ---------------------------------------------------
@@ -250,6 +388,23 @@ class _Solver:
         else:
             self.values &= ~bit
         self.trail.append(var)
+        if self.watch_cost is not None:
+            assigned, values = self.assigned, self.values
+            for mask, pos, index in self.watch_cost[value][var]:
+                if assigned & mask == mask and values & mask == pos:
+                    self._fire(index)
+
+    def _fire(self, index: int) -> None:
+        s, terms = self.semiring, self.model.cost_terms
+        self.cost_trail.append((len(self.trail) - 1, self.cost, self.fired))
+        self.fired |= 1 << index
+        if s.associative:
+            self.cost = s._times(self.cost, terms[index].cost)
+        else:
+            total = s.top
+            for fired in iter_bits(self.fired):
+                total = s._times(total, terms[fired].cost)
+            self.cost = total
 
     def _undo(self, mark: int) -> None:
         while len(self.trail) > mark:
@@ -257,6 +412,9 @@ class _Solver:
             bit = 1 << var
             self.assigned &= ~bit
             self.values &= ~bit
+        cost_trail = self.cost_trail
+        while cost_trail and cost_trail[-1][0] >= mark:
+            _, self.cost, self.fired = cost_trail.pop()
 
     def _force(self, var: int, value: int, queue: list[int]) -> bool:
         bit = 1 << var
@@ -305,6 +463,42 @@ class _Solver:
                     return False
         return True
 
+    def _check_defense(self, idx: int, queue: list[int]) -> bool:
+        child, parent, incoming, counters, mask, full = self.defenses[idx]
+        assigned, values = self.assigned, self.values
+        zeros = assigned & ~values
+        if values >> parent & 1 or zeros >> child & 1:
+            return True  # parent in or child out: nothing to defend
+        child_open = not assigned >> child & 1
+        parent_open = not assigned >> parent & 1
+        if child_open and parent_open:
+            return True
+        # The best reachable counterattack takes every counter not yet 0.
+        available = mask & ~zeros
+        if available == mask:
+            beaten = full
+        else:
+            beaten = _beats(self.semiring, counters, available, incoming)
+        if beaten:
+            return True
+        if child_open:
+            return self._force(child, 0, queue)
+        if parent_open:
+            return self._force(parent, 1, queue)
+        return False
+
+    def _check_completeness(self, idx: int, queue: list[int]) -> bool:
+        child, parents, rows = self.completions[idx]
+        assigned, values = self.assigned, self.values
+        if values >> child & 1 or parents & ~(assigned & ~values):
+            return True  # child in, or some parent not out
+        # Counters already 1 only grow stronger as more are taken.
+        taken = assigned & values
+        for _, incoming, counters in rows:
+            if not _beats(self.semiring, counters, taken, incoming):
+                return True
+        return self._force(child, 1, queue)
+
     def _propagate(self, queue: list[int]) -> bool:
         while queue:
             var = queue.pop()
@@ -314,6 +508,14 @@ class _Solver:
             for idx in self.watch_cd[var]:
                 if not self._check_conditional(idx, queue):
                     return False
+            if self.weighted:
+                value = self.values >> var & 1
+                for idx in self.watch_def[value][var]:
+                    if not self._check_defense(idx, queue):
+                        return False
+                for idx in self.watch_cpl[value][var]:
+                    if not self._check_completeness(idx, queue):
+                        return False
         return True
 
     def _propagate_roots(self) -> bool:
@@ -324,29 +526,27 @@ class _Solver:
         for idx in range(len(self.cond_masks)):
             if not self._check_conditional(idx, queue):
                 return False
+        for idx in range(len(self.defenses)):
+            if not self._check_defense(idx, queue):
+                return False
+        for idx in range(len(self.completions)):
+            if not self._check_completeness(idx, queue):
+                return False
         return self._propagate(queue)
 
-    # -- costs ----------------------------------------------------------
-
-    def _combined_cost(self) -> SemiringValue:
-        s = self.model.semiring
-        assigned, values = self.assigned, self.values
-        total = s.top
-        for pos, neg, cost in self.cost_masks:
-            if pos & assigned & values == pos and neg & assigned & ~values == neg:
-                total = s.times(total, cost)
-        return total
-
     def _within_budget(self) -> bool:
-        s = self.model.semiring
-        return s.leq(self.model.threshold, self._combined_cost())
+        return self.semiring._leq(self.model.threshold, self.cost)
 
     # -- search ----------------------------------------------------------
 
-    def _next_var(self) -> "int | None":
-        for var in self.order:
-            if not self.assigned >> var & 1:
-                return var
+    def _next_position(self, start: int) -> "int | None":
+        """Position in the static order of the first unassigned variable at
+        or after ``start``. Every variable before the position of the
+        latest decision is assigned, so the walk resumes from there."""
+        order, assigned = self.order, self.assigned
+        for pos in range(start, self.n):
+            if not assigned >> order[pos] & 1:
+                return pos
         return None
 
     def _value_order(self) -> tuple[int, int]:
@@ -363,28 +563,30 @@ class _Solver:
         hard constraints and passes ``keep``.
 
         The walk is depth-first with an explicit stack of (variable,
-        remaining values, trail mark), so its depth is not bounded by the
-        interpreter's recursion limit. ``keep`` is asked after root
-        propagation and after every later propagation; a rejected branch
-        is cut. On timeout the walk stops and ``complete`` turns false.
+        remaining values, trail mark, position in the static order), so
+        its depth is not bounded by the interpreter's recursion limit and
+        choosing the next variable costs amortised constant time. ``keep``
+        is asked after root propagation and after every later
+        propagation; a rejected branch is cut. On timeout the walk stops
+        and ``complete`` turns false.
         """
         deadline = time.monotonic() + self.config.timeout_ms / 1000.0
         if not (self._propagate_roots() and keep()):
             return
         trail = self.trail
-        stack: list[tuple[int, Iterator[int], int]] = []
+        stack: list[tuple[int, Iterator[int], int, int]] = []
         while True:
             if time.monotonic() > deadline:
                 self.complete = False
                 return
-            var = self._next_var()
-            if var is None:
+            pos = self._next_position(stack[-1][3] + 1 if stack else 0)
+            if pos is None:
                 yield self.values & self.full_mask
             else:
-                stack.append((var, iter(self._value_order()), len(trail)))
+                stack.append((self.order[pos], iter(self._value_order()), len(trail), pos))
             # Backtrack to the next child that survives propagation and keep.
             while stack:
-                var, values, mark = stack[-1]
+                var, values, mark, _ = stack[-1]
                 if len(trail) > mark:
                     self._undo(mark)
                 value = next(values, None)
@@ -453,6 +655,17 @@ def satisfies(model: Model, bits: int) -> bool:
         if all(any(lit_holds(l) for l in clause) for clause in cond.guard):
             if not all(any(lit_holds(l) for l in clause) for clause in cond.consequence):
                 return False
+    s = model.semiring
+    for d in model.defenses:
+        if bits >> d.child & 1 and not bits >> d.parent & 1:
+            if not _beats(s, d.counters, bits, d.incoming):
+                return False
+    for c in model.completeness:
+        if not bits >> c.child & 1 and all(
+            not bits >> parent & 1 and _beats(s, counters, bits, incoming)
+            for parent, incoming, counters in c.rows
+        ):
+            return False
     return True
 
 
@@ -486,10 +699,10 @@ def blevel(model: Model, config: SearchConfig = SearchConfig()) -> SemiringValue
     best = s.bottom
 
     def beats_best() -> bool:
-        return not s.leq(solver._combined_cost(), best)
+        return not s._leq(solver.cost, best)
 
     for _ in solver.leaves(beats_best):
-        best = s.plus(best, solver._combined_cost())
+        best = s._plus(best, solver.cost)
     if not solver.complete:
         raise TimeoutError("the blevel search was cut by the timeout")
     return best

@@ -128,6 +128,15 @@ class Semiring:
         return TAG_UNIT
 
     @cached_property
+    def associative(self) -> bool:
+        """Is ``times`` associative? The probabilistic instance rounds every
+        product back to the grid, so its combinations depend on the order
+        in which values are folded."""
+        if self.kind == PRODUCT_KIND:
+            return self.parts[0].associative and self.parts[1].associative
+        return self.kind != PROBABILISTIC_KIND
+
+    @cached_property
     def bottom(self) -> SemiringValue:
         if self.kind == BOOLEAN_KIND:
             return SemiringValue(TAG_BOOL, False)
@@ -177,6 +186,18 @@ class Semiring:
     def plus(self, a: SemiringValue, b: SemiringValue) -> SemiringValue:
         self.validate(a)
         self.validate(b)
+        return self._plus(a, b)
+
+    def times(self, a: SemiringValue, b: SemiringValue) -> SemiringValue:
+        self.validate(a)
+        self.validate(b)
+        return self._times(a, b)
+
+    # The unchecked operations below serve callers whose values were
+    # validated once on the way in (the search engine checks its costs and
+    # weights when the model is built); the public ones validate each call.
+
+    def _plus(self, a: SemiringValue, b: SemiringValue) -> SemiringValue:
         kind = self.kind
         if kind == BOOLEAN_KIND:
             return SemiringValue(TAG_BOOL, a.payload or b.payload)
@@ -184,12 +205,10 @@ class Semiring:
             return SemiringValue(TAG_COST, min(a.payload, b.payload))
         if kind == PRODUCT_KIND:
             (a1, a2), (b1, b2) = a.payload, b.payload
-            return pair_value(self.parts[0].plus(a1, b1), self.parts[1].plus(a2, b2))
+            return SemiringValue(TAG_PAIR, (self.parts[0]._plus(a1, b1), self.parts[1]._plus(a2, b2)))
         return SemiringValue(TAG_UNIT, max(a.payload, b.payload))
 
-    def times(self, a: SemiringValue, b: SemiringValue) -> SemiringValue:
-        self.validate(a)
-        self.validate(b)
+    def _times(self, a: SemiringValue, b: SemiringValue) -> SemiringValue:
         kind = self.kind
         if kind == BOOLEAN_KIND:
             return SemiringValue(TAG_BOOL, a.payload and b.payload)
@@ -202,7 +221,22 @@ class Semiring:
             # Rational product over hundredths, rounded half-up back to the grid.
             return SemiringValue(TAG_UNIT, (a.payload * b.payload + 50) // 100)
         (a1, a2), (b1, b2) = a.payload, b.payload
-        return pair_value(self.parts[0].times(a1, b1), self.parts[1].times(a2, b2))
+        return SemiringValue(TAG_PAIR, (self.parts[0]._times(a1, b1), self.parts[1]._times(a2, b2)))
+
+    def _leq(self, a: SemiringValue, b: SemiringValue) -> bool:
+        """``leq`` read off the payloads, without building ``plus(a, b)``."""
+        kind = self.kind
+        if kind == WEIGHTED_KIND:
+            return a.payload >= b.payload
+        if kind == BOOLEAN_KIND:
+            return b.payload or not a.payload
+        if kind == PRODUCT_KIND:
+            (a1, a2), (b1, b2) = a.payload, b.payload
+            return self.parts[0]._leq(a1, b1) and self.parts[1]._leq(a2, b2)
+        return a.payload <= b.payload
+
+    def _lt(self, a: SemiringValue, b: SemiringValue) -> bool:
+        return a != b and self._leq(a, b)
 
     def combine(self, values: Iterable[SemiringValue]) -> SemiringValue:
         """Left-fold of ``times``; the empty combination is ``top``."""

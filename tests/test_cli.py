@@ -188,14 +188,15 @@ class TestDecide:
         assert main(["decide", "credulous-wge", str(fig4_plain_file),
                      "--beta", "1", "--arg", "a"]) == 2
 
-    def test_timeout_is_exit_4(self, fig4_file, monkeypatch, capsys):
-        def cut(*args):
-            raise TimeoutError("the grounded search of a budget reduction was cut by the timeout")
-
-        monkeypatch.setattr("argsolve.budget._grounded_of_reduction", cut)
+    def test_timeout_is_exit_4(self, fig4_file, capsys):
         assert main(["decide", "credulous-wge", str(fig4_file),
-                     "--beta", "8", "--arg", "c"]) == 4
+                     "--beta", "8", "--arg", "c", "--timeout", "0.001"]) == 4
         assert capsys.readouterr().err.startswith("error: ")
+        for flags in (["minimal-budget", str(fig4_file), "--set", "a,c"],
+                      ["is-minimal", str(fig4_file), "--set", "a,c", "--beta", "8"]):
+            assert main(["decide", *flags, "--timeout", "0.001"]) == 4
+        assert main(["decide", "credulous-wge", str(fig4_file),
+                     "--beta", "8", "--arg", "c", "--timeout", "0"]) == 2
 
     def test_missing_flags(self, fig4_file):
         assert main(["decide", "credulous-wge", str(fig4_file), "--beta", "1"]) == 2

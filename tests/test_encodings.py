@@ -13,7 +13,8 @@ from argsolve.encodings import (
     filter_extremal,
     is_preferred,
 )
-from argsolve.engine import Literal, SearchConfig, solve_all
+from argsolve import netgen
+from argsolve.engine import Literal, SearchConfig, solve_all, solve_within_budget
 from argsolve.model import Extension, ExtensionSet, Framework
 from argsolve.model import extremal as model_extremal
 from argsolve.oracle import (
@@ -21,6 +22,7 @@ from argsolve.oracle import (
     ALL_KINDS,
     COMPLETE,
     CONFLICT_FREE,
+    EXTREMAL_KINDS,
     GROUNDED,
     IDEAL,
     PREFERRED,
@@ -28,9 +30,10 @@ from argsolve.oracle import (
     STABLE,
     STAGE,
     SemanticsSpec,
+    check,
     enumerate_bruteforce,
 )
-from argsolve.semiring import cost_value
+from argsolve.semiring import PROBABILISTIC, WEIGHTED, cost_value, unit_value
 
 from conftest import small_corpus
 
@@ -88,8 +91,10 @@ class TestDeepSearch:
         attacks += [(2 * i + 1, 2 * i) for i in range(pairs)]
         f = Framework(2 * pairs, tuple(attacks))
         request = EncodingRequest(f, SemanticsSpec(kind), SearchConfig(solution_cap=1))
-        (extension,) = enumerate_extensions(request).solutions
+        outcome = enumerate_extensions(request)
+        (extension,) = outcome.solutions
         assert len(extension) == pairs
+        assert outcome.nodes == pairs  # one decision per pair, no backtracking
 
 
 class TestWeightedEncodings:
@@ -121,6 +126,86 @@ class TestWeightedEncodings:
 
         out = run(fig4w, SemanticsSpec(CONFLICT_FREE, True, cost_value(INF)))
         assert len(out.solutions) == 32
+
+
+class TestNativeWeightedRules:
+    """The weighted models are exact on their own: solving the model, with
+    no leaf validation, gives the brute-force family."""
+
+    KINDS = (CONFLICT_FREE, ADMISSIBLE, COMPLETE)
+
+    def graphs(self):
+        rng = random.Random(1997)
+        for seed in range(12):
+            spec = netgen.GenSpec(
+                kind="barabasi",
+                node_count=rng.randint(3, 10),
+                edges_per_step=rng.randint(1, 3),
+                seed=seed,
+                orient=rng.choice(["coin", "both"]),
+            )
+            yield seed, netgen.generate(spec)
+
+    def assert_exact(self, f, alphas):
+        for alpha in alphas:
+            for kind in self.KINDS:
+                spec = SemanticsSpec(kind, True, alpha)
+                solved = solve_within_budget(encode(f, spec)).solutions
+                assert solved == enumerate_bruteforce(f, spec), (
+                    f"{f.semiring.kind} {kind} at {alpha.payload} disagrees on {f.attacks}"
+                )
+
+    def test_weighted_models_are_exact(self):
+        for seed, f in self.graphs():
+            weighted = netgen.assign_weights(f, netgen.WEIGHTS_INT, seed, 9)
+            self.assert_exact(weighted, (cost_value(0), cost_value(6), cost_value(14)))
+
+    def test_fuzzy_and_probabilistic_models_are_exact(self):
+        for seed, f in self.graphs():
+            fuzzy = netgen.assign_weights(f, netgen.WEIGHTS_FUZZY, seed)
+            # The same grades under the rounding product, whose folds depend on order.
+            probabilistic = Framework(f.n, fuzzy.attacks, fuzzy.names, fuzzy.weights, PROBABILISTIC)
+            for framework in (fuzzy, probabilistic):
+                self.assert_exact(framework, (unit_value(100), unit_value(40), unit_value(10)))
+
+    def test_hub_of_in_degree_twelve(self):
+        # Twelve arguments attack the hub, which attacks the target and
+        # strikes back at four of them; three of the twelve attack a
+        # neighbour. Defending the target takes a subset of the twelve
+        # whose combined counterattack outweighs the hub's attack.
+        rng = random.Random(1)
+        hub, target, twelve = 0, 1, range(2, 14)
+        attacks = [(g, hub) for g in twelve] + [(hub, target)]
+        attacks += [(hub, g) for g in twelve if g % 3 == 0]
+        attacks += [(g, g + 1) for g in twelve if g % 4 == 1 and g + 1 < 14]
+        weights = [cost_value(rng.randint(1, 9)) for _ in attacks]
+        f = Framework(14, tuple(attacks), weights=tuple(weights), semiring=WEIGHTED)
+        for kind in (ADMISSIBLE, COMPLETE):
+            spec = SemanticsSpec(kind, True, cost_value(8))
+            model = encode(f, spec)
+            constraints = (len(model.nogoods) + len(model.conditionals)
+                           + len(model.defenses) + len(model.completeness))
+            assert constraints <= f.n + len(f.attacks)
+            assert run(f, spec).solutions == enumerate_bruteforce(f, spec)
+
+
+class TestExtremalCap:
+    def test_capped_members_belong_to_the_family(self, fig4u):
+        frameworks = [fig4u] + small_corpus(6)
+        for f in frameworks:
+            for kind in EXTREMAL_KINDS:
+                spec = SemanticsSpec(kind)
+                out = enumerate_extensions(EncodingRequest(f, spec, SearchConfig(solution_cap=1)))
+                assert len(out.solutions) == 1, f"{kind} on {f.attacks}"
+                (member,) = out.solutions
+                assert check(f, member, spec), f"{kind} on {f.attacks}"
+                assert out.complete == (len(enumerate_bruteforce(f, spec)) == 1)
+
+    def test_cut_base_family_returns_no_members(self):
+        f = netgen.generate(netgen.GenSpec(kind="kleinberg", side=4, seed=1, orient="both"))
+        request = EncodingRequest(f, SemanticsSpec(PREFERRED), SearchConfig(timeout_ms=0.001))
+        out = enumerate_extensions(request)
+        assert not out.complete and len(out.solutions) == 0
 
 
 class TestOracleEquivalence:

@@ -13,8 +13,11 @@ from argsolve.engine import (
     Model,
     Nogood,
     SearchConfig,
+    WeightedCompleteness,
+    WeightedDefense,
     blevel,
     evaluate,
+    satisfies,
     solve_all,
     solve_within_budget,
 )
@@ -60,8 +63,29 @@ def truth_table(model):
                         ok = False
                         break
         if ok:
+            ok = not weighted_rule_broken(model, values)
+        if ok:
             solutions.add(sum(b << i for i, b in enumerate(values)))
     return solutions
+
+
+def weighted_rule_broken(model, values):
+    """Literal reading of the weighted defense and completeness rules."""
+    s = model.semiring
+
+    def beaten(incoming, counters):
+        return s.lt(s.combine(w for var, w in counters if values[var]), incoming)
+
+    for d in model.defenses:
+        if values[d.child] and not values[d.parent] and not beaten(d.incoming, d.counters):
+            return True
+    for c in model.completeness:
+        if not values[c.child] and all(
+            not values[parent] and beaten(incoming, counters)
+            for parent, incoming, counters in c.rows
+        ):
+            return True
+    return False
 
 
 class TestConstructionRules:
@@ -130,6 +154,30 @@ class TestSolveAllExamples:
             solve_all(model)
 
 
+def random_rules(rng, n):
+    """Weighted defense and completeness rules over n variables, with
+    counters that may include the child or the parent."""
+    def counters():
+        chosen = rng.sample(range(n), rng.randint(0, min(3, n)))
+        return tuple((v, cost_value(rng.randint(1, 6))) for v in chosen)
+
+    defenses = tuple(
+        WeightedDefense(rng.randrange(n), rng.randrange(n), cost_value(rng.randint(1, 9)), counters())
+        for _ in range(rng.randint(0, n))
+    )
+    completeness = tuple(
+        WeightedCompleteness(
+            rng.randrange(n),
+            tuple(
+                (rng.randrange(n), cost_value(rng.randint(1, 9)), counters())
+                for _ in range(rng.randint(0, 2))
+            ),
+        )
+        for _ in range(rng.randint(0, 2))
+    )
+    return defenses, completeness
+
+
 def random_model(rng, with_costs=False, max_vars=6):
     n = rng.randint(2, max_vars)
     nogoods = []
@@ -190,6 +238,58 @@ class TestAgainstTruthTable:
                 if WEIGHTED.leq(model.threshold, evaluate(model, values)):
                     expected.add(bits)
             assert out.solutions.bitsets() == expected
+
+
+class TestWeightedRules:
+    def random_weighted_model(self, rng):
+        model = random_model(rng, with_costs=True)
+        defenses, completeness = random_rules(rng, model.num_vars)
+        nogoods = model.nogoods if rng.random() < 0.3 else ()
+        return replace(model, nogoods=nogoods, conditionals=(),
+                       defenses=defenses, completeness=completeness)
+
+    def test_search_satisfies_evaluate_and_blevel_match_brute_force(self):
+        rng = random.Random(48)
+        for _ in range(300):
+            model = self.random_weighted_model(rng)
+            unbounded = replace(model, threshold=None)
+            table = truth_table(model)
+            assert solve_all(unbounded).solutions.bitsets() == table
+            within = {
+                bits for bits in table
+                if WEIGHTED.leq(model.threshold, evaluate(model, [bits >> i & 1 for i in range(model.num_vars)]))
+            }
+            assert solve_within_budget(model).solutions.bitsets() == within
+            best = WEIGHTED.bottom
+            for values in assignments(model.num_vars):
+                bits = sum(b << i for i, b in enumerate(values))
+                assert satisfies(model, bits) == (bits in table)
+                cost = WEIGHTED.combine(
+                    t.cost for t in model.cost_terms
+                    if all(values[l.var] == l.value for l in t.trigger)
+                )
+                assert evaluate(model, values) == (cost if bits in table else WEIGHTED.bottom)
+                best = WEIGHTED.plus(best, evaluate(model, values))
+            assert blevel(unbounded) == best
+
+    def test_defense_forces_the_parent_in(self):
+        # Child 0 is in; counter 2 is out, so only counter 1 (weight 3) is
+        # left against an attack of weight 5: parent 3 must be in.
+        rule = WeightedDefense(0, 3, cost_value(5), ((1, cost_value(3)), (2, cost_value(4))))
+        model = Model(4, (ng((0, 0)), ng((2, 1))), semiring=WEIGHTED, defenses=(rule,))
+        assert solve_all(model).solutions.bitsets() == {0b1001, 0b1011}
+
+    def test_completeness_forces_the_child_in(self):
+        # Parent 1 is out and counter 2 beats its attack: child 0 must be in.
+        rule = WeightedCompleteness(0, ((1, cost_value(5), ((2, cost_value(6)),)),))
+        model = Model(3, (ng((1, 1)), ng((2, 0))), semiring=WEIGHTED, completeness=(rule,))
+        assert solve_all(model).solutions.bitsets() == {0b101}
+
+    def test_rules_need_a_semiring(self):
+        with pytest.raises(ValueError):
+            Model(2, defenses=(WeightedDefense(0, 1, cost_value(1), ()),))
+        with pytest.raises(ValueError):
+            Model(2, semiring=WEIGHTED, defenses=(WeightedDefense(0, 5, cost_value(1), ()),))
 
 
 class TestWeightedExamples:

@@ -228,3 +228,22 @@ def test_product_order_is_partial():
     a = pair_value(cost_value(1), unit_value(10))
     b = pair_value(cost_value(2), unit_value(90))
     assert not prod.leq(a, b) and not prod.leq(b, a)
+
+
+def test_unchecked_operations_match_the_public_ones():
+    product = make_instance("product", (WEIGHTED, FUZZY))
+    samples = {
+        BOOLEAN: [boolean_value(False), boolean_value(True)],
+        WEIGHTED: [cost_value(v) for v in (0, 1, 7, 8, INF)],
+        FUZZY: [unit_value(v) for v in (0, 33, 50, 100)],
+        PROBABILISTIC: [unit_value(v) for v in (0, 33, 50, 100)],
+        product: [pair_value(cost_value(c), unit_value(u)) for c in (0, 3, INF) for u in (0, 40, 100)],
+    }
+    for ring, values in samples.items():
+        for a, b in itertools.product(values, repeat=2):
+            assert ring._plus(a, b) == ring.plus(a, b)
+            assert ring._times(a, b) == ring.times(a, b)
+            assert ring._leq(a, b) == ring.leq(a, b)
+            assert ring._lt(a, b) == ring.lt(a, b)
+    assert [ring.associative for ring in samples] == [True, True, True, False, True]
+    assert not make_instance("product", (WEIGHTED, PROBABILISTIC)).associative
