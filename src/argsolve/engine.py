@@ -346,7 +346,7 @@ class _Solver:
         assignments that can make them fire: a defense on its child set
         to 1, its parent or a counter set to 0; a completeness rule on
         its child or a parent set to 0, or a counter set to 1."""
-        n, s = self.n, self.semiring
+        n = self.n
         self.watch_def: list[list[list[int]]] = [[[] for _ in range(n)] for _ in (0, 1)]
         for idx, d in enumerate(self.model.defenses):
             mask = 0
@@ -354,8 +354,7 @@ class _Solver:
             for var, _ in d.counters:
                 mask |= 1 << var
                 events.add((0, var))
-            full = _beats(s, d.counters, mask, d.incoming)
-            self.defenses.append((d.child, d.parent, d.incoming, d.counters, mask, full))
+            self.defenses.append((d.child, d.parent, d.incoming, d.counters, mask))
             for value, var in events:
                 self.watch_def[value][var].append(idx)
         self.watch_cpl: list[list[list[int]]] = [[[] for _ in range(n)] for _ in (0, 1)]
@@ -464,7 +463,7 @@ class _Solver:
         return True
 
     def _check_defense(self, idx: int, queue: list[int]) -> bool:
-        child, parent, incoming, counters, mask, full = self.defenses[idx]
+        child, parent, incoming, counters, mask = self.defenses[idx]
         assigned, values = self.assigned, self.values
         zeros = assigned & ~values
         if values >> parent & 1 or zeros >> child & 1:
@@ -474,12 +473,7 @@ class _Solver:
         if child_open and parent_open:
             return True
         # The best reachable counterattack takes every counter not yet 0.
-        available = mask & ~zeros
-        if available == mask:
-            beaten = full
-        else:
-            beaten = _beats(self.semiring, counters, available, incoming)
-        if beaten:
+        if _beats(self.semiring, counters, mask & ~zeros, incoming):
             return True
         if child_open:
             return self._force(child, 0, queue)

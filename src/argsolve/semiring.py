@@ -224,7 +224,8 @@ class Semiring:
         return SemiringValue(TAG_PAIR, (self.parts[0]._times(a1, b1), self.parts[1]._times(a2, b2)))
 
     def _leq(self, a: SemiringValue, b: SemiringValue) -> bool:
-        """``leq`` read off the payloads, without building ``plus(a, b)``."""
+        """The order induced by ``plus`` (``plus(a, b) == b``), read off
+        the payloads without building the sum."""
         kind = self.kind
         if kind == WEIGHTED_KIND:
             return a.payload >= b.payload
@@ -247,10 +248,14 @@ class Semiring:
 
     def leq(self, a: SemiringValue, b: SemiringValue) -> bool:
         """True when ``b`` is at least as good as ``a``."""
-        return self.plus(a, b) == b
+        self.validate(a)
+        self.validate(b)
+        return self._leq(a, b)
 
     def lt(self, a: SemiringValue, b: SemiringValue) -> bool:
-        return a != b and self.leq(a, b)
+        self.validate(a)
+        self.validate(b)
+        return self._lt(a, b)
 
     def geq(self, a: SemiringValue, b: SemiringValue) -> bool:
         return self.leq(b, a)

@@ -243,7 +243,8 @@ def test_unchecked_operations_match_the_public_ones():
         for a, b in itertools.product(values, repeat=2):
             assert ring._plus(a, b) == ring.plus(a, b)
             assert ring._times(a, b) == ring.times(a, b)
-            assert ring._leq(a, b) == ring.leq(a, b)
-            assert ring._lt(a, b) == ring.lt(a, b)
+            # The order is the one induced by plus.
+            assert ring.leq(a, b) == (ring.plus(a, b) == b)
+            assert ring.lt(a, b) == (a != b and ring.plus(a, b) == b)
     assert [ring.associative for ring in samples] == [True, True, True, False, True]
     assert not make_instance("product", (WEIGHTED, PROBABILISTIC)).associative
