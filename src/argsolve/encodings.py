@@ -7,14 +7,22 @@ family with an output-sensitive filter (``extremal``): its cost grows
 with the number of candidates times the number of extremal keys, not
 with the square of the candidates.
 
-Classical models are exact. Weighted models are exact for the
+Classical models are exact and hold no nogoods or guarded requirements:
+each is the engine's classical rule set (``ArgumentRules``) over the
+framework's attacker bitsets, with conflict-freeness always on, defense
+for admissible and complete, completeness for complete and stability for
+stable. Grounded and semi-stable filter the complete family and stage
+the conflict-free one; preferred and ideal filter the complete family
+when classical and the admissible one when weighted. Weighted models
+are exact for the
 conflict-free, admissible and complete families: the conflict budget is
 a cost term per attack under the threshold alpha, and weighted defense
 and completeness are the engine's native rules, one defense per attack
 and one completeness rule per argument, so the number of constraints
 grows linearly with the graph, whatever the in-degrees. The strict weighted
-stable family over-approximates in the model (the outsider weight
-comparison is applied during leaf validation). Leaf validation, always
+stable family over-approximates in the model (its stability rule asks
+only for an attack from a member; the outsider weight comparison is
+applied during leaf validation). Leaf validation, always
 on, re-checks every candidate against the definition-level checkers
 before it is emitted.
 """
@@ -26,6 +34,7 @@ from typing import Sequence
 
 from . import oracle
 from .engine import (
+    ArgumentRules,
     ConditionalRequirement,
     CostTerm,
     Literal,
@@ -81,27 +90,6 @@ class EncodingRequest:
     requirements: tuple[UserRequirement, ...] = ()
 
 
-def _pattern(literals) -> "tuple[Literal, ...] | None":
-    """The literals deduplicated and sorted by variable, or None when
-    they contradict each other (such a pattern can never hold, so the
-    nogood or guard built from it is dropped)."""
-    values: dict[int, int] = {}
-    for lit in literals:
-        if values.setdefault(lit.var, lit.value) != lit.value:
-            return None
-    return tuple(Literal(v, values[v]) for v in sorted(values))
-
-
-def _stable_nogoods(f: Framework) -> list[Nogood]:
-    """Every argument is in or attacked by a member. Weighted models keep
-    only this attack-existence pattern; the strict weight comparison
-    against the threshold happens at leaf validation."""
-    return [
-        Nogood(_pattern([Literal(ai, 0)] + [Literal(p, 0) for p in sorted(f.attackers(ai))]))
-        for ai in range(f.n)
-    ]
-
-
 def encode(framework: Framework, spec: SemanticsSpec) -> Model:
     """Build the constraint model for one of the four base families."""
     if spec.kind not in BASE_KINDS:
@@ -113,41 +101,20 @@ def encode(framework: Framework, spec: SemanticsSpec) -> Model:
     return _encode_classical(framework, spec)
 
 
+def _attackers(f: Framework) -> tuple[int, ...]:
+    return tuple(f.attacker_mask(a) for a in range(f.n))
+
+
 def _encode_classical(f: Framework, spec: SemanticsSpec) -> Model:
-    nogoods: list[Nogood] = []
-    conditionals: list[ConditionalRequirement] = []
-
-    for src, dst in f.attacks:
-        nogoods.append(Nogood(_pattern([Literal(src, 1), Literal(dst, 1)])))
-
-    if spec.kind in (ADMISSIBLE, COMPLETE):
-        for ai in range(f.n):
-            for p in sorted(f.attackers(ai)):
-                pattern = _pattern([Literal(ai, 1)] + [Literal(g, 0) for g in sorted(f.attackers(p))])
-                if pattern is not None:
-                    nogoods.append(Nogood(pattern))
-
-    if spec.kind == COMPLETE:
-        for ai in range(f.n):
-            parents = sorted(f.attackers(ai))
-            clauses = []
-            degenerate = False
-            for p in parents:
-                grands = sorted(f.attackers(p))
-                if not grands:
-                    degenerate = True  # undefendable parent: guard can never hold
-                    break
-                clauses.append(tuple(Literal(g, 1) for g in grands))
-            if degenerate:
-                continue
-            conditionals.append(
-                ConditionalRequirement(tuple(clauses), ((Literal(ai, 1),),))
-            )
-
-    if spec.kind == STABLE:
-        nogoods += _stable_nogoods(f)
-
-    return Model(f.n, tuple(nogoods), tuple(conditionals))
+    kind = spec.kind
+    rules = ArgumentRules(
+        _attackers(f),
+        conflict_free=True,
+        defense=kind in (ADMISSIBLE, COMPLETE),
+        completeness=kind == COMPLETE,
+        stability=kind == STABLE,
+    )
+    return Model(f.n, argumentation=rules)
 
 
 def _encode_weighted(f: Framework, spec: SemanticsSpec) -> Model:
@@ -179,16 +146,19 @@ def _encode_weighted(f: Framework, spec: SemanticsSpec) -> Model:
             if all(row[2] for row in rows):
                 completeness.append(WeightedCompleteness(ai, rows))
 
-    nogoods = _stable_nogoods(f) if spec.kind == STABLE else []
+    # Weighted models keep only the attack-existence half of stability; the
+    # strict weight comparison against the threshold happens at leaf
+    # validation.
+    rules = ArgumentRules(_attackers(f), stability=True) if spec.kind == STABLE else None
 
     return Model(
         f.n,
-        tuple(nogoods),
         cost_terms=tuple(cost_terms),
         semiring=f.semiring,
         threshold=spec.alpha,
         defenses=tuple(defenses),
         completeness=tuple(completeness),
+        argumentation=rules,
     )
 
 
@@ -263,6 +233,17 @@ _BASE_KIND = {
 }
 
 
+def _base_kind(spec: SemanticsSpec) -> str:
+    """Classical preferred and ideal extensions are complete, so their
+    smaller complete family serves: the maximal complete sets are the
+    maximal admissible ones, and the ideal set is the largest complete
+    set inside every preferred one. Weighted preferred and ideal keep the
+    admissible family (caveat 4 in the README)."""
+    if spec.kind in (PREFERRED, IDEAL) and not spec.weighted:
+        return COMPLETE
+    return _BASE_KIND[spec.kind]
+
+
 def enumerate_extensions(request: EncodingRequest) -> SolveOutcome:
     """Enumerate all extensions of the requested semantics.
 
@@ -282,7 +263,7 @@ def enumerate_extensions(request: EncodingRequest) -> SolveOutcome:
 
     config = request.config
     uncapped = replace(request, config=replace(config, solution_cap=None))
-    base = _enumerate_base(uncapped, _BASE_KIND[kind])
+    base = _enumerate_base(uncapped, _base_kind(request.spec))
     if not base.complete:
         return replace(base, solutions=ExtensionSet())
     kept = _extremal_members(request.framework, request.spec, list(base.solutions))
@@ -302,7 +283,8 @@ def _extremal_members(f: Framework, spec: SemanticsSpec, base: list[Extension]) 
         return extremal(base, MIN)
     if kind in (SEMI_STABLE, STAGE):
         return extremal(base, MAX, [_range_key(f, ext, spec) for ext in base])
-    # ideal: the largest admissible sets inside every preferred extension.
+    # ideal: the largest base sets (admissible or complete) inside every
+    # preferred extension.
     common = (1 << f.n) - 1
     for ext in extremal(base, MAX):
         common &= ext.bits

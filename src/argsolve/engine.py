@@ -1,18 +1,24 @@
 """Finite-domain search over binary variables.
 
 The engine takes hard constraints (forbidden assignment patterns,
-guarded requirements, and the weighted defense and completeness rules
-of argumentation) plus, for soft models, semiring cost terms with an
-acceptance threshold. Search is depth-first with forward checking:
-when all but one literal of a forbidden pattern already holds, the
-remaining variable is forced away from it. Guarded requirements
-propagate once their guard is entailed. A weighted defense fails as
-soon as even the counters still available cannot beat the attack it
-guards against, and forces its child or parent when only one of them
-is open; a weighted completeness rule forces its child in once the
-counters already taken defend it. For thresholded models a branch is
-cut as soon as the cost already incurred can no longer meet the
-threshold. The cost is kept on the trail, combined as cost terms fire
+guarded requirements, the classical argumentation rules, and the
+weighted defense and completeness rules of argumentation) plus, for
+soft models, semiring cost terms with an acceptance threshold. Search
+is depth-first with forward checking: when all but one literal of a
+forbidden pattern already holds, the remaining variable is forced away
+from it. Guarded requirements propagate once their guard is entailed.
+The classical rules (``ArgumentRules``) work on per-argument attacker
+and target bitsets, a few integer operations per assignment: a member
+forces its attackers and targets out; an attacker of a member with one
+possible counterattacker left forces it in, and one that nobody can
+counterattack any more forces its targets out; a defended argument is
+forced in; an outsider with one possible attacker left forces it in.
+A weighted defense fails as soon as even the counters still available
+cannot beat the attack it guards against, and forces its child or
+parent when only one of them is open; a weighted completeness rule
+forces its child in once the counters already taken defend it. For
+thresholded models a branch is cut as soon as the cost already
+incurred lies strictly below the threshold. The cost is kept on the trail, combined as cost terms fire
 and restored on backtracking. Every weighted rule is sound because
 combination is monotone: combining more values never gives a better
 one.
@@ -166,6 +172,26 @@ class WeightedCompleteness:
 
 
 @dataclass(frozen=True)
+class ArgumentRules:
+    """Classical argumentation rules whose variables are the arguments
+    0..n-1 of an attack graph; ``attackers[x]`` is the bitset of the
+    arguments that attack ``x``. A set of 1s must be
+
+    - ``conflict_free``: no 1 attacks a 1;
+    - ``defense``: every attacker of a 1 is attacked by a 1;
+    - ``completeness``: every argument whose attackers are all attacked
+      by a 1 is itself 1;
+    - ``stability``: every 0 is attacked by a 1.
+    """
+
+    attackers: tuple[int, ...]
+    conflict_free: bool = False
+    defense: bool = False
+    completeness: bool = False
+    stability: bool = False
+
+
+@dataclass(frozen=True)
 class Model:
     """Binary variables plus the constraints and costs over them."""
 
@@ -177,10 +203,17 @@ class Model:
     threshold: "SemiringValue | None" = None
     defenses: tuple[WeightedDefense, ...] = ()
     completeness: tuple[WeightedCompleteness, ...] = ()
+    argumentation: "ArgumentRules | None" = None
 
     def __post_init__(self) -> None:
         if self.num_vars < 0:
             raise ValueError("variable count must be non-negative")
+        if self.argumentation is not None:
+            masks = self.argumentation.attackers
+            if len(masks) != self.num_vars:
+                raise ValueError("argument rules need one attacker bitset per variable")
+            if any(mask < 0 or mask >> self.num_vars for mask in masks):
+                raise ValueError("attacker bitset outside the model")
         for var in self._occurrences():
             if var < 0 or var >= self.num_vars:
                 raise ValueError(f"constraint over variable {var} outside the model")
@@ -316,6 +349,13 @@ class _Solver:
         if self.weighted:
             self._watch_weighted_rules()
 
+        self.rules = model.argumentation
+        self.attacked = 0
+        self.attacked_trail: list[tuple[int, int]] = []
+        self.track_attacked = False
+        if self.rules is not None:
+            self._index_arguments(self.rules)
+
         # Cost terms fire when the last literal of their trigger is set. The
         # combined cost and the bitset of fired terms are saved on
         # ``cost_trail`` and restored on undo. An associative combination
@@ -369,12 +409,45 @@ class _Solver:
             for value, var in events:
                 self.watch_cpl[value][var].append(idx)
 
+    def _index_arguments(self, rules: ArgumentRules) -> None:
+        """Attacker and target bitsets plus their index tuples, so that
+        the event loops never decompose a bitset."""
+        n = self.n
+        att = rules.attackers
+        tgt = [0] * n
+        for x, mask in enumerate(att):
+            for p in iter_bits(mask):
+                tgt[p] |= 1 << x
+        self.att = att
+        self.tgt = tgt
+        self.att_of = [tuple(iter_bits(mask)) for mask in att]
+        self.tgt_of = [tuple(iter_bits(mask)) for mask in tgt]
+        # Conflict-freeness: the neighbours a member forces out.
+        self.near = [att[x] | tgt[x] for x in range(n)]
+        self.near_of = [tuple(iter_bits(mask)) for mask in self.near]
+        # Stability: x or one of its attackers is 1; a new 0 concerns its
+        # own cover and those of its targets.
+        self.cover = [att[x] | 1 << x for x in range(n)]
+        self.cover_of = [(x,) + self.tgt_of[x] for x in range(n)]
+        # Completeness: a new 1 can only complete the defense of the
+        # targets of its targets; ``attacked`` holds the targets of the 1s.
+        self.track_attacked = rules.completeness
+        if rules.completeness:
+            reach = [0] * n
+            for g in range(n):
+                for p in self.tgt_of[g]:
+                    reach[g] |= tgt[p]
+            self.reach_of = [tuple(iter_bits(mask)) for mask in reach]
+
     def _static_order(self) -> list[int]:
         if self.config.var_heuristic == INPUT_ORDER:
             return list(range(self.n))
         counts = [0] * self.n
         for var in self.model._occurrences():
             counts[var] += 1
+        if self.rules is not None:  # the degree of each argument
+            for x in range(self.n):
+                counts[x] += len(self.att_of[x]) + len(self.tgt_of[x])
         return sorted(range(self.n), key=lambda v: (-counts[v], v))
 
     # -- propagation ---------------------------------------------------
@@ -384,6 +457,9 @@ class _Solver:
         self.assigned |= bit
         if value:
             self.values |= bit
+            if self.track_attacked:
+                self.attacked_trail.append((len(self.trail), self.attacked))
+                self.attacked |= self.tgt[var]
         else:
             self.values &= ~bit
         self.trail.append(var)
@@ -406,14 +482,19 @@ class _Solver:
             self.cost = total
 
     def _undo(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            var = self.trail.pop()
-            bit = 1 << var
-            self.assigned &= ~bit
-            self.values &= ~bit
+        trail = self.trail
+        cleared = 0
+        for var in trail[mark:]:
+            cleared |= 1 << var
+        del trail[mark:]
+        self.assigned &= ~cleared
+        self.values &= ~cleared
         cost_trail = self.cost_trail
         while cost_trail and cost_trail[-1][0] >= mark:
             _, self.cost, self.fired = cost_trail.pop()
+        attacked_trail = self.attacked_trail
+        while attacked_trail and attacked_trail[-1][0] >= mark:
+            _, self.attacked = attacked_trail.pop()
 
     def _force(self, var: int, value: int, queue: list[int]) -> bool:
         bit = 1 << var
@@ -493,15 +574,109 @@ class _Solver:
                 return True
         return self._force(child, 1, queue)
 
+    # The classical argumentation rules. Each check is the unit propagation
+    # of the clauses it stands for, so the fixpoint equals that of one
+    # nogood per attack and per (member, attacker) pair, one guarded
+    # requirement per argument and one stability nogood per argument.
+
+    def _out(self, targets: "Sequence[int]", queue: list[int]) -> None:
+        """Set every open argument of ``targets`` to 0."""
+        assigned = self.assigned
+        for x in targets:
+            if not assigned >> x & 1:
+                self._set(x, 0)
+                queue.append(x)
+
+    def _check_attackers(self, arguments: "Sequence[int]", queue: list[int]) -> bool:
+        """Defense against each ``p`` of ``arguments``: while no attacker
+        of ``p`` is 1, every 1 that ``p`` attacks needs one of them to
+        become 1. With none of them left, the targets of ``p`` are out;
+        with one left, it is forced in when ``p`` attacks a 1."""
+        att, tgt = self.att, self.tgt
+        for p in arguments:
+            values = self.values
+            counter = att[p]
+            if counter & values:
+                continue
+            open_ = counter & ~self.assigned
+            if not open_:
+                if tgt[p] & values:
+                    return False
+                self._out(self.tgt_of[p], queue)
+            elif open_ & (open_ - 1) == 0 and tgt[p] & values:
+                var = open_.bit_length() - 1
+                self._set(var, 1)
+                queue.append(var)
+        return True
+
+    def _check_covers(self, arguments: "Sequence[int]", queue: list[int]) -> bool:
+        """Stability: each argument or one of its attackers is 1; the last
+        open one is forced in."""
+        cover = self.cover
+        for x in arguments:
+            mask = cover[x]
+            if mask & self.values:
+                continue
+            open_ = mask & ~self.assigned
+            if not open_:
+                return False
+            if open_ & (open_ - 1) == 0:
+                var = open_.bit_length() - 1
+                self._set(var, 1)
+                queue.append(var)
+        return True
+
+    def _check_defended(self, arguments: "Sequence[int]", queue: list[int]) -> bool:
+        """Completeness: an argument whose attackers are all attacked by a
+        1 is forced in."""
+        att = self.att
+        for x in arguments:
+            if not att[x] & ~self.attacked and not self._force(x, 1, queue):
+                return False
+        return True
+
+    def _argue(self, var: int, queue: list[int]) -> bool:
+        """Run the classical rules that the new value of ``var`` can fire."""
+        rules = self.rules
+        if self.values >> var & 1:
+            if rules.conflict_free:
+                if self.near[var] & self.values:
+                    return False
+                self._out(self.near_of[var], queue)
+            return (
+                (not rules.defense or self._check_attackers(self.att_of[var], queue))
+                and (not rules.completeness or self._check_defended(self.reach_of[var], queue))
+            )
+        return (
+            (not rules.defense or self._check_attackers(self.tgt_of[var], queue))
+            and (not rules.stability or self._check_covers(self.cover_of[var], queue))
+        )
+
+    def _argue_roots(self, queue: list[int]) -> bool:
+        rules = self.rules
+        everyone = range(self.n)
+        if rules.conflict_free:
+            self._out([x for x in everyone if self.att[x] >> x & 1], queue)
+        return (
+            (not rules.defense or self._check_attackers(everyone, queue))
+            and (not rules.completeness or self._check_defended(everyone, queue))
+            and (not rules.stability or self._check_covers(everyone, queue))
+        )
+
     def _propagate(self, queue: list[int]) -> bool:
+        patterns = bool(self.nogood_masks or self.cond_masks)
+        argue = self.rules is not None
         while queue:
             var = queue.pop()
-            for idx in self.watch_ng[var]:
-                if not self._check_nogood(idx, queue):
-                    return False
-            for idx in self.watch_cd[var]:
-                if not self._check_conditional(idx, queue):
-                    return False
+            if patterns:
+                for idx in self.watch_ng[var]:
+                    if not self._check_nogood(idx, queue):
+                        return False
+                for idx in self.watch_cd[var]:
+                    if not self._check_conditional(idx, queue):
+                        return False
+            if argue and not self._argue(var, queue):
+                return False
             if self.weighted:
                 value = self.values >> var & 1
                 for idx in self.watch_def[value][var]:
@@ -526,10 +701,15 @@ class _Solver:
         for idx in range(len(self.completions)):
             if not self._check_completeness(idx, queue):
                 return False
+        if self.rules is not None and not self._argue_roots(queue):
+            return False
         return self._propagate(queue)
 
     def _within_budget(self) -> bool:
-        return self.semiring._leq(self.model.threshold, self.cost)
+        # Combination is monotone, so a cost strictly below the threshold
+        # stays below it on every extension of the branch; a cost that is
+        # merely incomparable with it (product semirings) may still pass.
+        return not self.semiring._lt(self.cost, self.model.threshold)
 
     # -- search ----------------------------------------------------------
 
@@ -659,6 +839,25 @@ def satisfies(model: Model, bits: int) -> bool:
             not bits >> parent & 1 and _beats(s, counters, bits, incoming)
             for parent, incoming, counters in c.rows
         ):
+            return False
+    rules = model.argumentation
+    return rules is None or _rules_hold(rules, bits)
+
+
+def _rules_hold(rules: ArgumentRules, bits: int) -> bool:
+    """Do the 1s of ``bits`` meet the classical argumentation rules?"""
+    attacked = 0
+    for y, attackers in enumerate(rules.attackers):
+        if attackers & bits:
+            attacked |= 1 << y
+    if rules.conflict_free and attacked & bits:
+        return False
+    for x, attackers in enumerate(rules.attackers):
+        defended = attackers & ~attacked == 0
+        if bits >> x & 1:
+            if rules.defense and not defended:
+                return False
+        elif rules.completeness and defended or rules.stability and not attacked >> x & 1:
             return False
     return True
 

@@ -237,7 +237,9 @@ class Semiring:
         return a.payload <= b.payload
 
     def _lt(self, a: SemiringValue, b: SemiringValue) -> bool:
-        return a != b and self._leq(a, b)
+        # The order is antisymmetric, so this equals ``a != b and a <= b``
+        # without comparing the value objects.
+        return self._leq(a, b) and not self._leq(b, a)
 
     def combine(self, values: Iterable[SemiringValue]) -> SemiringValue:
         """Left-fold of ``times``; the empty combination is ``top``."""

@@ -14,7 +14,7 @@ from argsolve.encodings import (
     is_preferred,
 )
 from argsolve import netgen
-from argsolve.engine import Literal, SearchConfig, solve_all, solve_within_budget
+from argsolve.engine import Literal, SearchConfig, satisfies, solve_all, solve_within_budget
 from argsolve.model import Extension, ExtensionSet, Framework
 from argsolve.model import extremal as model_extremal
 from argsolve.oracle import (
@@ -33,13 +33,59 @@ from argsolve.oracle import (
     check,
     enumerate_bruteforce,
 )
-from argsolve.semiring import PROBABILISTIC, WEIGHTED, cost_value, unit_value
+from argsolve.semiring import (
+    FUZZY,
+    PROBABILISTIC,
+    PRODUCT_KIND,
+    WEIGHTED,
+    cost_value,
+    make_instance,
+    pair_value,
+    unit_value,
+)
 
 from conftest import small_corpus
 
 
 def run(framework, spec):
     return enumerate_extensions(EncodingRequest(framework, spec, SearchConfig()))
+
+
+def seeded_barabasi():
+    """Twelve seeded Barabasi graphs of 3 to 10 arguments."""
+    rng = random.Random(1997)
+    for seed in range(12):
+        spec = netgen.GenSpec(
+            kind="barabasi",
+            node_count=rng.randint(3, 10),
+            edges_per_step=rng.randint(1, 3),
+            seed=seed,
+            orient=rng.choice(["coin", "both"]),
+        )
+        yield seed, netgen.generate(spec)
+
+
+# Products of two instances order their values only partially.
+COST_GRADE = make_instance(PRODUCT_KIND, (WEIGHTED, FUZZY))
+GRADE_PROBABILITY = make_instance(PRODUCT_KIND, (FUZZY, PROBABILISTIC))
+
+
+def product_weighted(f, semiring, seed):
+    """``f`` with a random pair weight on every attack."""
+    rng = random.Random(seed)
+
+    def part(instance):
+        return cost_value(rng.randint(1, 9)) if instance is WEIGHTED else unit_value(rng.randint(1, 99))
+
+    left, right = semiring.parts
+    weights = tuple(pair_value(part(left), part(right)) for _ in f.attacks)
+    return Framework(f.n, f.attacks, f.names, weights, semiring)
+
+
+def product_alphas(semiring):
+    if semiring is COST_GRADE:
+        return tuple(pair_value(cost_value(c), unit_value(u)) for c, u in ((3, 50), (8, 20), (0, 100)))
+    return tuple(pair_value(unit_value(a), unit_value(b)) for a, b in ((50, 30), (20, 60), (100, 100)))
 
 
 def bitsets(f, *groups):
@@ -49,7 +95,10 @@ def bitsets(f, *groups):
 class TestClassicalEncodings:
     def test_conflict_free_model_shape(self, fig4u):
         model = encode(fig4u, SemanticsSpec(CONFLICT_FREE))
-        assert len(model.nogoods) == 6
+        assert model.nogoods == () and model.conditionals == ()
+        rules = model.argumentation
+        assert rules.attackers == tuple(fig4u.attacker_mask(a) for a in range(fig4u.n))
+        assert rules.conflict_free and not (rules.defense or rules.completeness or rules.stability)
         out = solve_all(model)
         assert len(out.solutions) == 8
 
@@ -134,18 +183,6 @@ class TestNativeWeightedRules:
 
     KINDS = (CONFLICT_FREE, ADMISSIBLE, COMPLETE)
 
-    def graphs(self):
-        rng = random.Random(1997)
-        for seed in range(12):
-            spec = netgen.GenSpec(
-                kind="barabasi",
-                node_count=rng.randint(3, 10),
-                edges_per_step=rng.randint(1, 3),
-                seed=seed,
-                orient=rng.choice(["coin", "both"]),
-            )
-            yield seed, netgen.generate(spec)
-
     def assert_exact(self, f, alphas):
         for alpha in alphas:
             for kind in self.KINDS:
@@ -156,17 +193,32 @@ class TestNativeWeightedRules:
                 )
 
     def test_weighted_models_are_exact(self):
-        for seed, f in self.graphs():
+        for seed, f in seeded_barabasi():
             weighted = netgen.assign_weights(f, netgen.WEIGHTS_INT, seed, 9)
             self.assert_exact(weighted, (cost_value(0), cost_value(6), cost_value(14)))
 
     def test_fuzzy_and_probabilistic_models_are_exact(self):
-        for seed, f in self.graphs():
+        for seed, f in seeded_barabasi():
             fuzzy = netgen.assign_weights(f, netgen.WEIGHTS_FUZZY, seed)
             # The same grades under the rounding product, whose folds depend on order.
             probabilistic = Framework(f.n, fuzzy.attacks, fuzzy.names, fuzzy.weights, PROBABILISTIC)
             for framework in (fuzzy, probabilistic):
                 self.assert_exact(framework, (unit_value(100), unit_value(40), unit_value(10)))
+
+    def test_product_models_are_exact(self):
+        for seed, f in seeded_barabasi():
+            for semiring in (COST_GRADE, GRADE_PROBABILITY):
+                product = product_weighted(f, semiring, seed)
+                self.assert_exact(product, product_alphas(semiring))
+
+    def test_cost_incomparable_with_alpha_is_kept(self):
+        # The attack costs (5, 0.90): worse than alpha (3, 0.50) in the
+        # first part, better in the second, so {0, 1} is alpha-conflict-free.
+        f = Framework(2, ((0, 1),), weights=(pair_value(cost_value(5), unit_value(90)),),
+                      semiring=COST_GRADE)
+        spec = SemanticsSpec(CONFLICT_FREE, True, pair_value(cost_value(3), unit_value(50)))
+        assert solve_within_budget(encode(f, spec)).solutions.bitsets() == {0b00, 0b01, 0b10, 0b11}
+        assert run(f, spec).solutions == enumerate_bruteforce(f, spec)
 
     def test_hub_of_in_degree_twelve(self):
         # Twelve arguments attack the hub, which attacks the target and
@@ -187,6 +239,59 @@ class TestNativeWeightedRules:
                            + len(model.defenses) + len(model.completeness))
             assert constraints <= f.n + len(f.attacks)
             assert run(f, spec).solutions == enumerate_bruteforce(f, spec)
+
+
+class TestClassicalRules:
+    """The classical models are exact on their own: solving the model,
+    with no leaf validation, gives the brute-force family."""
+
+    KINDS = (CONFLICT_FREE, ADMISSIBLE, COMPLETE, STABLE)
+
+    def frameworks(self):
+        yield from small_corpus(12)
+        yield from (f for _, f in seeded_barabasi())
+        yield Framework(1, ((0, 0),))  # a lone self-attacker
+        yield Framework(3)  # isolated arguments only
+        yield Framework(2, ((0, 1), (1, 0)))  # a mutual attack
+        yield Framework(4, ((0, 1), (1, 0), (1, 2), (2, 2)))  # mutual attack onto a self-attacker
+        yield Framework(5, ((0, 1), (1, 2), (2, 0), (3, 3), (3, 4)))  # odd cycle, isolated pair
+        yield Framework(5, ((0, 0), (0, 1), (1, 2), (2, 1), (2, 3), (4, 4)))
+
+    def test_classical_models_are_exact(self):
+        for f in self.frameworks():
+            for kind in self.KINDS:
+                spec = SemanticsSpec(kind)
+                model = encode(f, spec)
+                assert model.nogoods == () and model.conditionals == ()
+                assert solve_all(model).solutions == enumerate_bruteforce(f, spec), (
+                    f"{kind} disagrees on {f.n} arguments, {f.attacks}"
+                )
+
+    def test_propagation_decides_forced_arguments(self):
+        # On an acyclic graph the complete and the stable family are the
+        # grounded set alone, which propagation finds without a decision:
+        # unattacked arguments are in, their targets out, and so on.
+        chain = Framework(5, ((0, 1), (1, 2), (2, 3)))
+        for kind in (COMPLETE, STABLE):
+            out = solve_all(encode(chain, SemanticsSpec(kind)))
+            assert out.solutions.bitsets() == {0b10101} and out.nodes == 0, kind
+        # A self-attacker is out before the search starts.
+        out = solve_all(encode(Framework(1, ((0, 0),)), SemanticsSpec(CONFLICT_FREE)))
+        assert out.solutions.bitsets() == {0} and out.nodes == 0
+        # 1 attacks 0 and nobody attacks 1: 0 is out of every admissible
+        # set, so only 1 is decided.
+        out = solve_all(encode(Framework(2, ((1, 0),)), SemanticsSpec(ADMISSIBLE)))
+        assert out.solutions.bitsets() == {0b00, 0b10} and out.nodes == 2
+
+    def test_satisfies_agrees_with_the_oracle(self):
+        for f in small_corpus(12):
+            for kind in self.KINDS:
+                spec = SemanticsSpec(kind)
+                model = encode(f, spec)
+                for bits in range(1 << f.n):
+                    assert satisfies(model, bits) == check(f, Extension(bits, f.n), spec), (
+                        f"{kind} on {bits:#x} of {f.attacks}"
+                    )
 
 
 class TestExtremalCap:
@@ -227,6 +332,19 @@ class TestOracleEquivalence:
                         assert run(f, spec).solutions == enumerate_bruteforce(f, spec), (
                             f"{kind}/{rule} at {alpha} disagrees on {f.attacks}"
                         )
+
+    def test_product_weighted_kinds_match_bruteforce(self):
+        for index, f in enumerate(small_corpus(6)):
+            for semiring in (COST_GRADE, GRADE_PROBABILITY):
+                product = product_weighted(f, semiring, index)
+                for alpha in product_alphas(semiring):
+                    for kind in ALL_KINDS:
+                        rules = ("strict", "any-attack") if kind == STABLE else (None,)
+                        for rule in rules:
+                            spec = SemanticsSpec(kind, True, alpha, rule)
+                            assert run(product, spec).solutions == enumerate_bruteforce(product, spec), (
+                                f"{kind}/{rule} at {alpha.payload} disagrees on {product.attacks}"
+                            )
 
     def test_fuzzy_weighted_kinds_match_bruteforce(self):
         from argsolve.netgen import assign_weights

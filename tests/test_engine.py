@@ -7,6 +7,7 @@ import pytest
 from argsolve import netgen
 from argsolve.encodings import encode
 from argsolve.engine import (
+    ArgumentRules,
     ConditionalRequirement,
     CostTerm,
     Literal,
@@ -64,6 +65,8 @@ def truth_table(model):
                         break
         if ok:
             ok = not weighted_rule_broken(model, values)
+        if ok and model.argumentation is not None:
+            ok = not argument_rule_broken(model.argumentation, values)
         if ok:
             solutions.add(sum(b << i for i, b in enumerate(values)))
     return solutions
@@ -84,6 +87,30 @@ def weighted_rule_broken(model, values):
             not values[parent] and beaten(incoming, counters)
             for parent, incoming, counters in c.rows
         ):
+            return True
+    return False
+
+
+def argument_rule_broken(rules, values):
+    """Literal reading of the classical argumentation rules."""
+    n = len(values)
+    attacks = {(p, x) for x in range(n) for p in range(n) if rules.attackers[x] >> p & 1}
+    members = {x for x in range(n) if values[x]}
+
+    def attacked(x):
+        return any((m, x) in attacks for m in members)
+
+    def defended(x):
+        return all(attacked(p) for p in range(n) if (p, x) in attacks)
+
+    if rules.conflict_free and any((a, b) in attacks for a in members for b in members):
+        return True
+    for x in range(n):
+        if x in members and rules.defense and not defended(x):
+            return True
+        if x not in members and rules.completeness and defended(x):
+            return True
+        if x not in members and rules.stability and not attacked(x):
             return True
     return False
 
@@ -290,6 +317,55 @@ class TestWeightedRules:
             Model(2, defenses=(WeightedDefense(0, 1, cost_value(1), ()),))
         with pytest.raises(ValueError):
             Model(2, semiring=WEIGHTED, defenses=(WeightedDefense(0, 5, cost_value(1), ()),))
+
+
+class TestArgumentRules:
+    def random_rules(self, rng, n):
+        attackers = tuple(
+            sum(1 << p for p in range(n) if rng.random() < 0.3) for _ in range(n)
+        )
+        flags = [rng.random() < 0.5 for _ in range(4)]
+        return ArgumentRules(attackers, *flags)
+
+    def test_search_and_satisfies_match_the_literal_rules(self):
+        rng = random.Random(2009)
+        for trial in range(300):
+            model = random_model(rng, max_vars=7)
+            rules = self.random_rules(rng, model.num_vars)
+            # Some models carry extra nogoods and requirements, most do not.
+            if trial % 3:
+                model = Model(model.num_vars)
+            model = replace(model, argumentation=rules)
+            table = truth_table(model)
+            out = solve_all(model)
+            assert out.complete
+            assert out.solutions.bitsets() == table, rules
+            for bits in range(1 << model.num_vars):
+                assert satisfies(model, bits) == (bits in table)
+
+    def test_stability_forces_the_last_attacker_in(self):
+        # 1 and 2 attack each other and both attack 0. With 0 and 2 out,
+        # only 1 is left to attack 2, so root propagation takes it.
+        rules = ArgumentRules((0b110, 0b100, 0b010))
+        model = Model(3, (ng((0, 1)), ng((2, 1))), argumentation=rules)
+        assert solve_all(model).solutions.bitsets() == {0b000, 0b010}
+        out = solve_all(replace(model, argumentation=replace(rules, stability=True)))
+        assert out.solutions.bitsets() == {0b010}
+        assert out.nodes == 0
+
+    def test_defense_forces_the_last_counterattacker_in(self):
+        # 2 attacks 1, which attacks 0; 0 must be in, so 1 is out and 2,
+        # the only argument that attacks 1, is in.
+        model = Model(3, (ng((0, 0)),), argumentation=ArgumentRules((0b010, 0b100, 0), True, True))
+        out = solve_all(model)
+        assert out.solutions.bitsets() == {0b101}
+        assert out.nodes == 0
+
+    def test_rules_need_one_bitset_per_variable_inside_the_model(self):
+        with pytest.raises(ValueError):
+            Model(2, argumentation=ArgumentRules((0,)))
+        with pytest.raises(ValueError):
+            Model(2, argumentation=ArgumentRules((0b100, 0)))
 
 
 class TestWeightedExamples:
