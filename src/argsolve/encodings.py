@@ -13,18 +13,17 @@ framework's attacker bitsets, with conflict-freeness always on, defense
 for admissible and complete, completeness for complete and stability for
 stable. Grounded and semi-stable filter the complete family and stage
 the conflict-free one; preferred and ideal filter the complete family
-when classical and the admissible one when weighted. Weighted models
-are exact for the
-conflict-free, admissible and complete families: the conflict budget is
-a cost term per attack under the threshold alpha, and weighted defense
-and completeness are the engine's native rules, one defense per attack
-and one completeness rule per argument, so the number of constraints
-grows linearly with the graph, whatever the in-degrees. The strict weighted
-stable family over-approximates in the model (its stability rule asks
-only for an attack from a member; the outsider weight comparison is
-applied during leaf validation). Leaf validation, always
-on, re-checks every candidate against the definition-level checkers
-before it is emitted.
+when classical with no side requirements, and the admissible one
+otherwise. Weighted models are exact for the conflict-free, admissible
+and complete families: the conflict budget is a cost term per attack
+under the threshold alpha, and weighted defense and completeness are the
+engine's native rules, one defense per attack and one completeness rule
+per argument, so the number of constraints grows linearly with the
+graph, whatever the in-degrees. The strict weighted stable family
+over-approximates in the model (its stability rule asks only for an
+attack from a member; the outsider weight comparison is applied during
+leaf validation). Leaf validation, always on, re-checks every candidate
+against the definition-level checkers before it is emitted.
 """
 
 from __future__ import annotations
@@ -223,25 +222,29 @@ def _enumerate_base(request: EncodingRequest, kind: str) -> SolveOutcome:
     return replace(outcome, solutions=ExtensionSet.of(kept))
 
 
-# The base family each inclusion-extremal kind is filtered from.
-_BASE_KIND = {
-    PREFERRED: ADMISSIBLE,
-    GROUNDED: COMPLETE,
-    SEMI_STABLE: COMPLETE,
-    STAGE: CONFLICT_FREE,
-    IDEAL: ADMISSIBLE,
-}
+def _base_kind(request: EncodingRequest) -> str:
+    """The base family the inclusion-extremal kind is filtered from.
 
-
-def _base_kind(spec: SemanticsSpec) -> str:
-    """Classical preferred and ideal extensions are complete, so their
-    smaller complete family serves: the maximal complete sets are the
-    maximal admissible ones, and the ideal set is the largest complete
-    set inside every preferred one. Weighted preferred and ideal keep the
-    admissible family (caveat 4 in the README)."""
-    if spec.kind in (PREFERRED, IDEAL) and not spec.weighted:
+    Grounded and semi-stable filter the complete family, stage the
+    conflict-free one. Preferred and ideal extensions are complete, so a
+    classical request without side requirements filters the smaller
+    complete family: the maximal complete sets are the maximal admissible
+    ones, and the ideal set is the largest complete set inside every
+    preferred one. Side requirements apply to the base family before the
+    filter, and the maximal complete sets that meet a requirement need not
+    be the maximal admissible ones that meet it, so such requests keep the
+    admissible family; weighted ones keep it too (caveat 4 in the README).
+    """
+    kind = request.spec.kind
+    if kind in (GROUNDED, SEMI_STABLE):
         return COMPLETE
-    return _BASE_KIND[spec.kind]
+    if kind == STAGE:
+        return CONFLICT_FREE
+    if kind in (PREFERRED, IDEAL):
+        if request.spec.weighted or request.requirements:
+            return ADMISSIBLE
+        return COMPLETE
+    raise ValueError(f"unknown semantics kind {kind!r}")
 
 
 def enumerate_extensions(request: EncodingRequest) -> SolveOutcome:
@@ -258,12 +261,11 @@ def enumerate_extensions(request: EncodingRequest) -> SolveOutcome:
     kind = request.spec.kind
     if kind in BASE_KINDS:
         return _enumerate_base(request, kind)
-    if kind not in _BASE_KIND:
-        raise ValueError(f"unknown semantics kind {kind!r}")
+    base_kind = _base_kind(request)
 
     config = request.config
     uncapped = replace(request, config=replace(config, solution_cap=None))
-    base = _enumerate_base(uncapped, _base_kind(request.spec))
+    base = _enumerate_base(uncapped, base_kind)
     if not base.complete:
         return replace(base, solutions=ExtensionSet())
     kept = _extremal_members(request.framework, request.spec, list(base.solutions))

@@ -449,6 +449,37 @@ class TestUserRequirements:
         model = encode(fig4u, SemanticsSpec(CONFLICT_FREE))
         assert apply_user_requirements(model, ()) == model
 
+    def test_forbid_on_a_chain_keeps_the_maximal_admissible_sets(self):
+        # a -> b -> c: the admissible sets without c are {} and {a}; the
+        # only complete set, {a, c}, is forbidden.
+        f = Framework(3, ((0, 1), (1, 2)), ("a", "b", "c"))
+        forbid_c = UserRequirement((), ((Literal(2, 0),),))
+        for kind in (PREFERRED, IDEAL):
+            request = EncodingRequest(f, SemanticsSpec(kind), SearchConfig(), (forbid_c,))
+            assert enumerate_extensions(request).solutions.bitsets() == bitsets(f, "a")
+
+    @pytest.mark.parametrize("kind", [PREFERRED, IDEAL])
+    def test_extremal_kinds_filter_the_admissible_sets_that_meet_them(self, kind):
+        rng = random.Random(61)
+        for f in small_corpus(12):
+            var = rng.randrange(f.n)
+            req = UserRequirement((), ((Literal(var, rng.randint(0, 1)),),))
+            model = apply_user_requirements(encode(f, SemanticsSpec(ADMISSIBLE)), (req,))
+            base = [
+                Extension(bits, f.n)
+                for bits in range(1 << f.n)
+                if check(f, Extension(bits, f.n), SemanticsSpec(ADMISSIBLE)) and satisfies(model, bits)
+            ]
+            maximal = model_extremal(base, "max")
+            if kind == IDEAL:
+                common = (1 << f.n) - 1
+                for ext in maximal:
+                    common &= ext.bits
+                maximal = model_extremal([e for e in base if e.bits & ~common == 0], "max")
+            request = EncodingRequest(f, SemanticsSpec(kind), SearchConfig(), (req,))
+            got = enumerate_extensions(request).solutions.bitsets()
+            assert got == {e.bits for e in maximal}, (f, req)
+
     def test_exactly_one_consequence_against_truth_table(self):
         # contain 0 but not 1 => exactly one of 2, 3
         from argsolve.model import Framework
