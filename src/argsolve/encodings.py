@@ -19,11 +19,15 @@ and complete families: the conflict budget is a cost term per attack
 under the threshold alpha, and weighted defense and completeness are the
 engine's native rules, one defense per attack and one completeness rule
 per argument, so the number of constraints grows linearly with the
-graph, whatever the in-degrees. The strict weighted stable family
-over-approximates in the model (its stability rule asks only for an
-attack from a member; the outsider weight comparison is applied during
-leaf validation). Leaf validation, always on, re-checks every candidate
-against the definition-level checkers before it is emitted.
+graph, whatever the in-degrees. Weighted stable models are exact too:
+both rules ask for an attack from a member on every outsider, and the
+strict rule adds, per argument, a weighted defense with no child whose
+counters are the argument's other attackers and whose incoming weight
+is alpha, so an outsider must be attacked strictly worse than alpha.
+
+Every model is exact, so the search's solutions are the extensions:
+nothing re-checks them, and the brute-force equivalence tests guard that
+exactness.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from . import oracle
 from .engine import (
     ArgumentRules,
     ConditionalRequirement,
@@ -59,6 +62,7 @@ from .oracle import (
     SEMI_STABLE,
     STABLE,
     STAGE,
+    STRICT,
     SemanticsSpec,
 )
 
@@ -145,9 +149,10 @@ def _encode_weighted(f: Framework, spec: SemanticsSpec) -> Model:
             if all(row[2] for row in rows):
                 completeness.append(WeightedCompleteness(ai, rows))
 
-    # Weighted models keep only the attack-existence half of stability; the
-    # strict weight comparison against the threshold happens at leaf
-    # validation.
+    if spec.stable_rule == STRICT:
+        # Every outsider is attacked strictly worse than alpha.
+        defenses.extend(WeightedDefense(None, c, spec.alpha, counters(c)) for c in range(f.n))
+
     rules = ArgumentRules(_attackers(f), stability=True) if spec.kind == STABLE else None
 
     return Model(
@@ -209,17 +214,10 @@ def _solve(model: Model, config: SearchConfig) -> SolveOutcome:
     return solve_all(model, config)
 
 
-def _rebase(spec: SemanticsSpec, kind: str) -> SemanticsSpec:
-    return SemanticsSpec(kind, spec.weighted, spec.alpha)
-
-
 def _enumerate_base(request: EncodingRequest, kind: str) -> SolveOutcome:
-    spec = _rebase(request.spec, kind) if kind != request.spec.kind else request.spec
-    model = encode(request.framework, spec)
+    model = encode(request.framework, replace(request.spec, kind=kind))
     model = apply_user_requirements(model, request.requirements)
-    outcome = _solve(model, request.config)
-    kept = [ext for ext in outcome.solutions if oracle.check(request.framework, ext, spec)]
-    return replace(outcome, solutions=ExtensionSet.of(kept))
+    return _solve(model, request.config)
 
 
 def _base_kind(request: EncodingRequest) -> str:

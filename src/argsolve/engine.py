@@ -4,9 +4,10 @@ The engine takes hard constraints (forbidden assignment patterns,
 guarded requirements, the classical argumentation rules, and the
 weighted defense and completeness rules of argumentation) plus, for
 soft models, semiring cost terms with an acceptance threshold. Search
-is depth-first with forward checking: when all but one literal of a
-forbidden pattern already holds, the remaining variable is forced away
-from it. Guarded requirements propagate once their guard is entailed.
+is depth-first with forward checking. Forbidden patterns and guarded
+requirements share one clause checker: a forbidden pattern is the
+unguarded clause that one of its literals fails, and once a guard is
+entailed, a consequence clause with one open literal left forces it.
 The classical rules (``ArgumentRules``) work on per-argument attacker
 and target bitsets, a few integer operations per assignment: a member
 forces its attackers and targets out; an attacker of a member with one
@@ -15,13 +16,15 @@ counterattack any more forces its targets out; a defended argument is
 forced in; an outsider with one possible attacker left forces it in.
 A weighted defense fails as soon as even the counters still available
 cannot beat the attack it guards against, and forces its child or
-parent when only one of them is open; a weighted completeness rule
-forces its child in once the counters already taken defend it. For
-thresholded models a branch is cut as soon as the cost already
-incurred lies strictly below the threshold. The cost is kept on the trail, combined as cost terms fire
-and restored on backtracking. Every weighted rule is sound because
-combination is monotone: combining more values never gives a better
-one.
+parent when only one of them is open; a defense with no child guards
+its parent whenever the parent is out, which is the outsider test of
+strict weighted stability. A weighted completeness rule forces its
+child in once the counters already taken defend it. For thresholded
+models a branch is cut as soon as the cost already incurred lies
+strictly below the threshold. The cost is kept on the trail, combined
+as cost terms fire and restored on backtracking. Every weighted rule is
+sound because combination is monotone: combining more values never
+gives a better one.
 
 Semiring values are validated once, when the ``Model`` is built; the
 search then uses the semiring's unchecked operations.
@@ -148,12 +151,13 @@ def _beats(s: Semiring, counters, chosen: int, incoming: SemiringValue) -> bool:
 class WeightedDefense:
     """Whenever ``child`` is 1 and ``parent`` is 0, the counters set to 1
     must strictly beat ``incoming``, the parent's attack on the child.
+    With no child (``None``) the rule holds whenever ``parent`` is 0.
 
     ``counters`` pairs each variable that can counterattack the parent
     with the weight of its attack.
     """
 
-    child: int
+    child: "int | None"
     parent: int
     incoming: SemiringValue
     counters: tuple[Counter, ...]
@@ -244,7 +248,8 @@ class Model:
             for lit in term.trigger:
                 yield lit.var
         for d in self.defenses:
-            yield d.child
+            if d.child is not None:
+                yield d.child
             yield d.parent
             for var, _ in d.counters:
                 yield var
@@ -322,8 +327,10 @@ class _Solver:
         self.n = n
         self.full_mask = (1 << n) - 1
 
-        self.nogood_masks = [_masks(ng.literals) for ng in model.nogoods]
-        self.cond_masks = [
+        # A nogood is the clause that some literal of it fails: the same
+        # masks with their polarities swapped, under no guard.
+        self.cond_masks = [([], [_masks(ng.literals)[::-1]]) for ng in model.nogoods]
+        self.cond_masks += [
             (
                 [_masks(clause) for clause in cond.guard],
                 [_masks(clause) for clause in cond.consequence],
@@ -331,10 +338,6 @@ class _Solver:
             for cond in model.conditionals
         ]
 
-        self.watch_ng: list[list[int]] = [[] for _ in range(n)]
-        for idx, (pos, neg) in enumerate(self.nogood_masks):
-            for var in iter_bits(pos | neg):
-                self.watch_ng[var].append(idx)
         self.watch_cd: list[list[int]] = [[] for _ in range(n)]
         for idx, (guard, cons) in enumerate(self.cond_masks):
             involved = 0
@@ -383,14 +386,16 @@ class _Solver:
 
     def _watch_weighted_rules(self) -> None:
         """Index the weighted rules per (value, variable), on the
-        assignments that can make them fire: a defense on its child set
-        to 1, its parent or a counter set to 0; a completeness rule on
-        its child or a parent set to 0, or a counter set to 1."""
+        assignments that can make them fire: a defense on its child (if
+        any) set to 1, its parent or a counter set to 0; a completeness
+        rule on its child or a parent set to 0, or a counter set to 1."""
         n = self.n
         self.watch_def: list[list[list[int]]] = [[[] for _ in range(n)] for _ in (0, 1)]
         for idx, d in enumerate(self.model.defenses):
             mask = 0
-            events = {(1, d.child), (0, d.parent)}
+            events = {(0, d.parent)}
+            if d.child is not None:
+                events.add((1, d.child))
             for var, _ in d.counters:
                 mask |= 1 << var
                 events.add((0, var))
@@ -504,20 +509,6 @@ class _Solver:
         queue.append(var)
         return True
 
-    def _check_nogood(self, idx: int, queue: list[int]) -> bool:
-        pos, neg = self.nogood_masks[idx]
-        assigned, values = self.assigned, self.values
-        # Some literal already failed: the pattern can never complete.
-        if (pos & assigned & ~values) | (neg & assigned & values):
-            return True
-        pending = (pos | neg) & ~assigned
-        if pending == 0:
-            return False  # every literal holds: forbidden pattern reached
-        if pending & (pending - 1) == 0:
-            var = pending.bit_length() - 1
-            return self._force(var, 0 if pos >> var & 1 else 1, queue)
-        return True
-
     def _clause_state(self, pos: int, neg: int) -> tuple[bool, int]:
         """(satisfied, pending-mask) for a disjunctive clause."""
         assigned, values = self.assigned, self.values
@@ -547,9 +538,9 @@ class _Solver:
         child, parent, incoming, counters, mask = self.defenses[idx]
         assigned, values = self.assigned, self.values
         zeros = assigned & ~values
-        if values >> parent & 1 or zeros >> child & 1:
+        if values >> parent & 1 or child is not None and zeros >> child & 1:
             return True  # parent in or child out: nothing to defend
-        child_open = not assigned >> child & 1
+        child_open = child is not None and not assigned >> child & 1
         parent_open = not assigned >> parent & 1
         if child_open and parent_open:
             return True
@@ -664,14 +655,11 @@ class _Solver:
         )
 
     def _propagate(self, queue: list[int]) -> bool:
-        patterns = bool(self.nogood_masks or self.cond_masks)
+        clauses = bool(self.cond_masks)
         argue = self.rules is not None
         while queue:
             var = queue.pop()
-            if patterns:
-                for idx in self.watch_ng[var]:
-                    if not self._check_nogood(idx, queue):
-                        return False
+            if clauses:
                 for idx in self.watch_cd[var]:
                     if not self._check_conditional(idx, queue):
                         return False
@@ -689,9 +677,6 @@ class _Solver:
 
     def _propagate_roots(self) -> bool:
         queue: list[int] = []
-        for idx in range(len(self.nogood_masks)):
-            if not self._check_nogood(idx, queue):
-                return False
         for idx in range(len(self.cond_masks)):
             if not self._check_conditional(idx, queue):
                 return False
@@ -831,7 +816,7 @@ def satisfies(model: Model, bits: int) -> bool:
                 return False
     s = model.semiring
     for d in model.defenses:
-        if bits >> d.child & 1 and not bits >> d.parent & 1:
+        if (d.child is None or bits >> d.child & 1) and not bits >> d.parent & 1:
             if not _beats(s, d.counters, bits, d.incoming):
                 return False
     for c in model.completeness:

@@ -85,13 +85,10 @@ def _position(text: str, offset: int) -> tuple[int, int]:
 
 
 def _parse_weight(token: str, text: str, offset: int) -> SemiringValue:
-    if "." not in token:
-        return cost_value(int(token))
-    whole, frac = token.split(".")
-    value = int(whole or 0) * 100 + int(frac) * (10 if len(frac) == 1 else 1)
-    if value > 100:
-        raise DlParseError(f"grade {token} above 1.00", *_position(text, offset))
-    return unit_value(value)
+    try:
+        return parse_scalar(token)
+    except ValueError as error:
+        raise DlParseError(str(error), *_position(text, offset)) from None
 
 
 def parse_document(text: str) -> DlDocument:

@@ -20,6 +20,7 @@ from argsolve.model import extremal as model_extremal
 from argsolve.oracle import (
     ADMISSIBLE,
     ALL_KINDS,
+    ANY_ATTACK,
     COMPLETE,
     CONFLICT_FREE,
     EXTREMAL_KINDS,
@@ -29,6 +30,7 @@ from argsolve.oracle import (
     SEMI_STABLE,
     STABLE,
     STAGE,
+    STRICT,
     SemanticsSpec,
     check,
     enumerate_bruteforce,
@@ -176,20 +178,33 @@ class TestWeightedEncodings:
         out = run(fig4w, SemanticsSpec(CONFLICT_FREE, True, cost_value(INF)))
         assert len(out.solutions) == 32
 
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_capped_strict_stable_listings_are_full(self, fig4w, cap):
+        # A capped listing holds as many true members as the cap allows.
+        for f in small_corpus(8, weighted=True) + [fig4w]:
+            for alpha in (0, 5, 8, 11, 14):
+                spec = SemanticsSpec(STABLE, True, cost_value(alpha), STRICT)
+                request = EncodingRequest(f, spec, SearchConfig(solution_cap=cap))
+                solutions = enumerate_extensions(request).solutions
+                family = enumerate_bruteforce(f, spec)
+                assert len(solutions) == min(cap, len(family)), f"alpha {alpha} on {f.attacks}"
+                assert all(check(f, ext, spec) for ext in solutions)
+
 
 class TestNativeWeightedRules:
-    """The weighted models are exact on their own: solving the model, with
-    no leaf validation, gives the brute-force family."""
+    """The weighted models are exact on their own: solving the model gives
+    the brute-force family."""
 
-    KINDS = (CONFLICT_FREE, ADMISSIBLE, COMPLETE)
+    KINDS = ((CONFLICT_FREE, None), (ADMISSIBLE, None), (COMPLETE, None),
+             (STABLE, STRICT), (STABLE, ANY_ATTACK))
 
     def assert_exact(self, f, alphas):
         for alpha in alphas:
-            for kind in self.KINDS:
-                spec = SemanticsSpec(kind, True, alpha)
+            for kind, rule in self.KINDS:
+                spec = SemanticsSpec(kind, True, alpha, rule)
                 solved = solve_within_budget(encode(f, spec)).solutions
                 assert solved == enumerate_bruteforce(f, spec), (
-                    f"{f.semiring.kind} {kind} at {alpha.payload} disagrees on {f.attacks}"
+                    f"{f.semiring.kind} {kind}/{rule} at {alpha.payload} disagrees on {f.attacks}"
                 )
 
     def test_weighted_models_are_exact(self):

@@ -87,6 +87,10 @@ class TestParseErrors:
         self.err("arg(a). arg(b). watt(a,b,0).")
         self.err("arg(a). arg(b). watt(a,b,1.00).")
 
+    def test_grade_above_one_reports_its_position(self):
+        e = self.err("arg(a). arg(b).\nwatt(a,b,1.50).")
+        assert "above 1.00" in str(e) and e.line == 2 and e.column == 1
+
     def test_grammar_mutations_of_a_valid_document(self):
         base = "arg(a). arg(b). arg(c). watt(a,b,7). watt(b,c,8)."
         parse_dl(base)  # sanity
@@ -95,6 +99,7 @@ class TestParseErrors:
             base.replace("watt(a,b,7).", "watt(a,7)."),    # arity
             base.replace("watt(a,b,7).", "watt(a,d,7)."),  # undeclared
             base.replace("watt(a,b,7).", "watt(a,b,x)."),  # weight token
+            base.replace("watt(a,b,7).", "watt(a,b,1.50)."),  # grade above 1.00
             base.replace("arg(b).", ""),                   # now undeclared b
             base.replace("watt(b,c,8).", "watt(a,b,8)."),  # duplicate attack
             base + " att(a,c).",                           # mixed kinds

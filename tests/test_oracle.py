@@ -1,8 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
-from argsolve import netgen
+from argsolve import netgen, oracle
 from argsolve.model import Extension
 from argsolve.oracle import (
     ADMISSIBLE,
@@ -209,3 +211,29 @@ class TestWeightedProperties:
                 assert len(ideal) == 1
                 (bits,) = ideal
                 assert bits in family(f, ADMISSIBLE, alpha)
+
+
+def package_imports(path: Path) -> set[str]:
+    """The package modules that the module at ``path`` imports, relatively
+    or by the package name; ``*`` stands for the whole package."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = f"argsolve.{module}" if module else "argsolve"
+            modules = [module] if module != "argsolve" else [f"argsolve.{a.name}" for a in node.names]
+        else:
+            continue
+        found |= {m.split(".")[1] if "." in m else "*" for m in modules if m.split(".")[0] == "argsolve"}
+    return found
+
+
+class TestIndependence:
+    def test_imports_only_the_data_model_and_the_semirings(self):
+        # The oracle is the ground truth for the solver, so it must not
+        # reach the engine, the encodings or any other solver code.
+        imported = package_imports(Path(oracle.__file__))
+        assert imported <= {"model", "semiring"}, imported
