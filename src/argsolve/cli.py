@@ -39,8 +39,15 @@ _ALPHA_PREFIX = "alpha-"
 _SEMANTICS_CHOICES = list(ALL_KINDS) + [_ALPHA_PREFIX + kind for kind in ALL_KINDS]
 
 
-def _default_timeout_ms() -> float:
-    return float(os.environ.get("ARGSOLVE_TIMEOUT_MS", DEFAULT_TIMEOUT_MS))
+def _timeout_ms(text: str) -> float:
+    """A ``--timeout`` value: positive milliseconds, ``inf`` for no limit."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not value > 0:  # NaN included
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number of milliseconds")
+    return value
 
 
 class _UsageError(Exception):
@@ -73,6 +80,10 @@ class BenchPlan:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # argparse converts a string default only when the flag is absent, so a
+    # bad ARGSOLVE_TIMEOUT_MS is a usage error of the commands that read it.
+    timeout = dict(type=_timeout_ms, metavar="MS",
+                   default=os.environ.get("ARGSOLVE_TIMEOUT_MS", str(DEFAULT_TIMEOUT_MS)))
     parser = argparse.ArgumentParser(
         prog="argsolve",
         description="Solve acceptability problems on (weighted) attack graphs.",
@@ -102,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="side requirement, e.g. 'if a&!b then !c|!d'")
     solve.add_argument("--forbid", action="append", default=[], metavar="EXPR",
                        help="forbidden membership pattern, e.g. 'a&b'")
-    solve.add_argument("--timeout", type=float, default=_default_timeout_ms(), metavar="MS",
+    solve.add_argument("--timeout", **timeout,
                        help="search timeout (also via ARGSOLVE_TIMEOUT_MS)")
     solve.add_argument("--seed", type=int)
     solve.add_argument("--var-heuristic", choices=[MOST_CONSTRAINED_STATIC, INPUT_ORDER],
@@ -125,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
     decide.add_argument("--beta", type=int)
     decide.add_argument("--arg", dest="argument")
     decide.add_argument("--set", dest="target")
-    decide.add_argument("--timeout", type=float, default=_default_timeout_ms(), metavar="MS",
+    decide.add_argument("--timeout", **timeout,
                         help="timeout of each reduction's search (also via ARGSOLVE_TIMEOUT_MS)")
 
     bench = sub.add_parser("bench", help="run the benchmark protocol")
@@ -140,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--long-range", type=int, default=1)
     bench.add_argument("--orient", choices=["coin", "both"], default="coin")
     bench.add_argument("--weights", default="none")
-    bench.add_argument("--timeout", type=float, default=_default_timeout_ms(), metavar="MS")
+    bench.add_argument("--timeout", **timeout)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--out", required=True)
     bench.add_argument("--raw", help="per-run records path (default: OUT.raw)")

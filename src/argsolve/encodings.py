@@ -50,7 +50,7 @@ from .engine import (
     solve_all,
     solve_within_budget,
 )
-from .model import Extension, ExtensionSet, Framework
+from .model import Extension, ExtensionSet, Framework, iter_bits
 from .oracle import (
     ADMISSIBLE,
     BASE_KINDS,
@@ -282,7 +282,7 @@ def _extremal_members(f: Framework, spec: SemanticsSpec, base: list[Extension]) 
     if kind == GROUNDED:
         return extremal(base, MIN)
     if kind in (SEMI_STABLE, STAGE):
-        return extremal(base, MAX, [_range_key(f, ext, spec) for ext in base])
+        return extremal(base, MAX, _range_keys(f, base, spec.alpha))
     # ideal: the largest base sets (admissible or complete) inside every
     # preferred extension.
     common = (1 << f.n) - 1
@@ -291,10 +291,18 @@ def _extremal_members(f: Framework, spec: SemanticsSpec, base: list[Extension]) 
     return extremal([ext for ext in base if ext.bits & ~common == 0], MAX)
 
 
-def _range_key(f: Framework, ext: Extension, spec: SemanticsSpec) -> int:
-    if spec.weighted:
-        return f.alpha_range(ext, spec.alpha).bits
-    return f.range_of(ext).bits
+def _range_keys(f: Framework, items: Sequence[Extension], alpha=None) -> list[int]:
+    """Each item OR its members' target masks, or its alpha-range."""
+    if alpha is not None:
+        return [f.alpha_range(e, alpha).bits for e in items]
+    targets = [f.target_mask(a) for a in range(f.n)]
+    keys = []
+    for e in items:
+        bits = e.bits
+        for member in iter_bits(bits):
+            bits |= targets[member]
+        keys.append(bits)
+    return keys
 
 
 def filter_extremal(
@@ -316,10 +324,7 @@ def filter_extremal(
     elif key == RANGE:
         if framework is None:
             raise ValueError("range filtering needs the framework")
-        if alpha is None:
-            keys = [framework.range_of(e).bits for e in items]
-        else:
-            keys = [framework.alpha_range(e, alpha).bits for e in items]
+        keys = _range_keys(framework, items, alpha)
     else:
         raise ValueError(f"unknown filter key {key!r}")
     return ExtensionSet.of(extremal(items, direction, keys))

@@ -21,19 +21,21 @@ its parent whenever the parent is out, which is the outsider test of
 strict weighted stability. A weighted completeness rule forces its
 child in once the counters already taken defend it. For thresholded
 models a branch is cut as soon as the cost already incurred lies
-strictly below the threshold. The cost is kept on the trail, combined
-as cost terms fire and restored on backtracking. Every weighted rule is
-sound because combination is monotone: combining more values never
-gives a better one.
+strictly below the threshold. The cost is combined as cost terms fire
+and restored with the rest of the search state on backtracking. Every
+weighted rule is sound because combination is monotone: combining more
+values never gives a better one.
 
 Semiring values are validated once, when the ``Model`` is built; the
 search then uses the semiring's unchecked operations.
 
 One iterative walk (``_Solver.leaves``) serves every search: it keeps an
 explicit stack instead of recursing, so the number of variables is not
-bounded by the interpreter's recursion limit. Enumeration, budget
-solving and the branch-and-bound ``blevel`` differ only in the bound
-that decides whether a branch is kept.
+bounded by the interpreter's recursion limit. The search state is a
+few immutable values, so each stack frame saves them and backtracking
+restores that copy. Enumeration, budget solving and the
+branch-and-bound ``blevel`` differ only in the bound that decides
+whether a branch is kept.
 
 Search is deterministic for a fixed model and configuration, including
 the seeded value-ordering heuristic.
@@ -291,7 +293,7 @@ class SearchConfig:
             raise ValueError(f"unknown value heuristic {self.val_heuristic!r}")
         if self.val_heuristic == SEEDED_RANDOM and self.seed is None:
             raise ValueError("the seeded-random value heuristic needs a seed")
-        if self.timeout_ms <= 0:
+        if not self.timeout_ms > 0:  # NaN included; inf means no limit
             raise ValueError("timeout must be positive")
         if self.solution_cap is not None and self.solution_cap < 1:
             raise ValueError("solution cap must be at least 1")
@@ -354,19 +356,16 @@ class _Solver:
 
         self.rules = model.argumentation
         self.attacked = 0
-        self.attacked_trail: list[tuple[int, int]] = []
         self.track_attacked = False
         if self.rules is not None:
             self._index_arguments(self.rules)
 
-        # Cost terms fire when the last literal of their trigger is set. The
-        # combined cost and the bitset of fired terms are saved on
-        # ``cost_trail`` and restored on undo. An associative combination
-        # takes one more factor per fired term; otherwise the fired terms
-        # are refolded in model order, the order ``evaluate`` uses.
+        # Cost terms fire when the last literal of their trigger is set. An
+        # associative combination takes one more factor per fired term;
+        # otherwise the fired terms are refolded in model order, the order
+        # ``evaluate`` uses.
         self.cost = model.semiring.top if model.semiring is not None else None
         self.fired = 0
-        self.cost_trail: list[tuple[int, SemiringValue, int]] = []
         self.watch_cost = None
         if model.cost_terms:
             self.watch_cost = [[[] for _ in range(n)] for _ in (0, 1)]
@@ -380,7 +379,6 @@ class _Solver:
 
         self.assigned = 0
         self.values = 0
-        self.trail: list[int] = []
         self.nodes = 0
         self.complete = True
 
@@ -458,16 +456,13 @@ class _Solver:
     # -- propagation ---------------------------------------------------
 
     def _set(self, var: int, value: int) -> None:
+        # ``var`` is open, so its bit of ``values`` is already 0.
         bit = 1 << var
         self.assigned |= bit
         if value:
             self.values |= bit
             if self.track_attacked:
-                self.attacked_trail.append((len(self.trail), self.attacked))
                 self.attacked |= self.tgt[var]
-        else:
-            self.values &= ~bit
-        self.trail.append(var)
         if self.watch_cost is not None:
             assigned, values = self.assigned, self.values
             for mask, pos, index in self.watch_cost[value][var]:
@@ -476,7 +471,6 @@ class _Solver:
 
     def _fire(self, index: int) -> None:
         s, terms = self.semiring, self.model.cost_terms
-        self.cost_trail.append((len(self.trail) - 1, self.cost, self.fired))
         self.fired |= 1 << index
         if s.associative:
             self.cost = s._times(self.cost, terms[index].cost)
@@ -485,21 +479,6 @@ class _Solver:
             for fired in iter_bits(self.fired):
                 total = s._times(total, terms[fired].cost)
             self.cost = total
-
-    def _undo(self, mark: int) -> None:
-        trail = self.trail
-        cleared = 0
-        for var in trail[mark:]:
-            cleared |= 1 << var
-        del trail[mark:]
-        self.assigned &= ~cleared
-        self.values &= ~cleared
-        cost_trail = self.cost_trail
-        while cost_trail and cost_trail[-1][0] >= mark:
-            _, self.cost, self.fired = cost_trail.pop()
-        attacked_trail = self.attacked_trail
-        while attacked_trail and attacked_trail[-1][0] >= mark:
-            _, self.attacked = attacked_trail.pop()
 
     def _force(self, var: int, value: int, queue: list[int]) -> bool:
         bit = 1 << var
@@ -722,18 +701,19 @@ class _Solver:
         hard constraints and passes ``keep``.
 
         The walk is depth-first with an explicit stack of (variable,
-        remaining values, trail mark, position in the static order), so
+        remaining values, saved state, position in the static order), so
         its depth is not bounded by the interpreter's recursion limit and
-        choosing the next variable costs amortised constant time. ``keep``
-        is asked after root propagation and after every later
+        choosing the next variable costs amortised constant time. The
+        saved state is the tuple (assigned, values, attacked, cost, fired)
+        from before the decision, restored before each value is tried.
+        ``keep`` is asked after root propagation and after every later
         propagation; a rejected branch is cut. On timeout the walk stops
         and ``complete`` turns false.
         """
         deadline = time.monotonic() + self.config.timeout_ms / 1000.0
         if not (self._propagate_roots() and keep()):
             return
-        trail = self.trail
-        stack: list[tuple[int, Iterator[int], int, int]] = []
+        stack: list[tuple[int, Iterator[int], tuple, int]] = []
         while True:
             if time.monotonic() > deadline:
                 self.complete = False
@@ -742,16 +722,16 @@ class _Solver:
             if pos is None:
                 yield self.values & self.full_mask
             else:
-                stack.append((self.order[pos], iter(self._value_order()), len(trail), pos))
+                state = (self.assigned, self.values, self.attacked, self.cost, self.fired)
+                stack.append((self.order[pos], iter(self._value_order()), state, pos))
             # Backtrack to the next child that survives propagation and keep.
             while stack:
-                var, values, mark, _ = stack[-1]
-                if len(trail) > mark:
-                    self._undo(mark)
+                var, values, state, _ = stack[-1]
                 value = next(values, None)
                 if value is None:
                     stack.pop()
                     continue
+                self.assigned, self.values, self.attacked, self.cost, self.fired = state
                 self.nodes += 1
                 self._set(var, value)
                 if self._propagate([var]) and keep():

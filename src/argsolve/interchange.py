@@ -84,16 +84,14 @@ def _position(text: str, offset: int) -> tuple[int, int]:
     return line, offset - start + 1
 
 
-def _parse_weight(token: str, text: str, offset: int) -> SemiringValue:
-    try:
-        return parse_scalar(token)
-    except ValueError as error:
-        raise DlParseError(str(error), *_position(text, offset)) from None
-
-
 def parse_document(text: str) -> DlDocument:
     """Parse framework text into declarations, validating the grammar."""
     clean = _strip_comments(text)
+
+    def error(message: str, offset: int) -> DlParseError:
+        # Line and column cost a scan from the start: only errors pay it.
+        return DlParseError(message, *_position(clean, offset))
+
     statements = []
     pos = 0
     length = len(clean)
@@ -104,55 +102,56 @@ def parse_document(text: str) -> DlDocument:
             break
         match = _STATEMENT.match(clean, pos)
         if match is None:
-            raise DlParseError("malformed statement", *_position(clean, pos))
+            raise error("malformed statement", pos)
         head, a, b, w = match.group("head", "a", "b", "w")
         needs_b, needs_w = _ARITY[head]
         if (b is not None) != needs_b or (w is not None) != needs_w:
-            raise DlParseError(f"wrong number of fields for {head}", *_position(clean, pos))
+            raise error(f"wrong number of fields for {head}", pos)
         statements.append((head, a, b, w, pos))
         pos = match.end()
 
     arguments: list[str] = []
     declared: set[str] = set()
-    attacks: list[tuple[str, str]] = []
+    attacks: dict[tuple[str, str], None] = {}  # ordered, O(1) duplicate test
     weights: list[SemiringValue] = []
     attack_kind: "str | None" = None  # "att", or the weight tag for watt
 
     for head, a, b, w, offset in statements:
-        where = _position(clean, offset)
         if head == "arg":
             if a in declared:
-                raise DlParseError(f"argument {a} declared twice", *where)
+                raise error(f"argument {a} declared twice", offset)
             declared.add(a)
             arguments.append(a)
 
     for head, a, b, w, offset in statements:
         if head == "arg":
             continue
-        where = _position(clean, offset)
         for name in (a, b):
             if name not in declared:
-                raise DlParseError(f"undeclared argument {name}", *where)
+                raise error(f"undeclared argument {name}", offset)
         if (a, b) in attacks:
-            raise DlParseError(f"duplicate attack ({a},{b})", *where)
+            raise error(f"duplicate attack ({a},{b})", offset)
         if head == "att":
             kind = "att"
             if attack_kind not in (None, "att"):
-                raise DlParseError("plain and weighted attacks cannot be mixed", *where)
+                raise error("plain and weighted attacks cannot be mixed", offset)
         else:
-            value = _parse_weight(w, clean, offset)
+            try:
+                value = parse_scalar(w)
+            except ValueError as exc:
+                raise error(str(exc), offset) from None
             kind = value.tag
             if attack_kind not in (None, kind):
-                raise DlParseError("attack weight kinds cannot be mixed", *where)
+                raise error("attack weight kinds cannot be mixed", offset)
             top = (WEIGHTED if kind == TAG_COST else FUZZY).top
             if value == top:
-                raise DlParseError(
+                raise error(
                     f"weight {format_value(value)} equals the top element, which means no attack",
-                    *where,
+                    offset,
                 )
             weights.append(value)
         attack_kind = kind
-        attacks.append((a, b))
+        attacks[(a, b)] = None
 
     return DlDocument(
         tuple(arguments),

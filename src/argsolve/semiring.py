@@ -259,9 +259,6 @@ class Semiring:
         self.validate(b)
         return self._lt(a, b)
 
-    def geq(self, a: SemiringValue, b: SemiringValue) -> bool:
-        return self.leq(b, a)
-
     def gt(self, a: SemiringValue, b: SemiringValue) -> bool:
         return self.lt(b, a)
 

@@ -266,3 +266,37 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestTimeoutFlag:
+    # (ARGSOLVE_TIMEOUT_MS, argv with IN for the input file, exit code);
+    # every rejected value is one usage error.
+    CASES = [
+        (None, ["solve", "IN", "--check-preferred", "a", "--timeout", "0"], 2),
+        (None, ["solve", "IN", "--semantics", "stable", "--timeout", "-5"], 2),
+        (None, ["solve", "IN", "--semantics", "stable", "--timeout", "nan"], 2),
+        (None, ["solve", "IN", "--check-preferred", "a", "--timeout", "nan"], 2),
+        (None, ["solve", "IN", "--semantics", "stable", "--timeout", "soon"], 2),
+        (None, ["solve", "IN", "--semantics", "stable", "--timeout", "inf"], 0),
+        (None, ["solve", "IN", "--check-preferred", "a,c", "--timeout", "inf"], 0),
+        ("abc", ["solve", "IN", "--semantics", "stable"], 2),
+        ("abc", ["solve", "IN", "--check-preferred", "a"], 2),
+        ("abc", ["solve", "IN", "--semantics", "stable", "--timeout", "1000"], 0),
+        ("nan", ["decide", "credulous-wge", "IN", "--beta", "1", "--arg", "a"], 2),
+        ("0", ["decide", "credulous-wge", "IN", "--beta", "1", "--arg", "a"], 2),
+        ("abc", ["bench", "--kind", "fig4", "--sizes", "5", "--semantics", "stable",
+                 "--out", "IN.table"], 2),
+        ("abc", ["generate", "--kind", "fig4", "--out", "IN.copy"], 0),
+        ("5000", ["solve", "IN", "--semantics", "stable"], 0),
+    ]
+
+    @pytest.mark.parametrize("env, argv, code", CASES)
+    def test_timeout_values(self, fig4_plain_file, monkeypatch, capsys, env, argv, code):
+        if env is None:
+            monkeypatch.delenv("ARGSOLVE_TIMEOUT_MS", raising=False)
+        else:
+            monkeypatch.setenv("ARGSOLVE_TIMEOUT_MS", env)
+        argv = [arg.replace("IN", str(fig4_plain_file)) for arg in argv]
+        assert main(argv) == code
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == (1 if code else 0), errors

@@ -394,6 +394,24 @@ class TestFilterExtremal:
         out = filter_extremal(sets, "max", key="range", framework=fig4u)
         assert out.bitsets() == bitsets(fig4u, "ad")
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_range_key_matches_the_reference_over_every_subset(self, weighted):
+        # Range keys against the pairwise reference on ``range_of`` or
+        # ``alpha_range`` keys, over every subset of each framework.
+        alphas = (cost_value(2), cost_value(9)) if weighted else (None,)
+        for f in small_corpus(20, weighted=weighted):
+            sets = ExtensionSet.of(Extension(bits, f.n) for bits in range(1 << f.n))
+            items = list(sets)
+            for alpha in alphas:
+                if alpha is None:
+                    keys = [f.range_of(e).bits for e in items]
+                else:
+                    keys = [f.alpha_range(e, alpha).bits for e in items]
+                for direction in ("max", "min"):
+                    out = filter_extremal(sets, direction, key="range", framework=f, alpha=alpha)
+                    expected = model_extremal(items, direction, keys)
+                    assert list(out) == expected, f"{direction} at {alpha} on {f.attacks}"
+
     def test_result_is_an_antichain(self):
         rng = random.Random(17)
         for _ in range(50):

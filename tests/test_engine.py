@@ -144,6 +144,9 @@ class TestConstructionRules:
         with pytest.raises(ValueError):
             SearchConfig(timeout_ms=0)
         with pytest.raises(ValueError):
+            SearchConfig(timeout_ms=float("nan"))
+        assert SearchConfig(timeout_ms=float("inf")).timeout_ms == float("inf")
+        with pytest.raises(ValueError):
             SearchConfig(val_heuristic="seeded-random")
         with pytest.raises(ValueError):
             SearchConfig(var_heuristic="dynamic")
