@@ -9,10 +9,8 @@ front end.
 """
 
 from .budget import RemovalSet, credulous, is_minimal, minimal_budget, removal_sets, wge
-from .cli import BenchPlan, format_bench_table, run_bench
 from .encodings import (
     EncodingRequest,
-    UserRequirement,
     apply_user_requirements,
     encode,
     enumerate_extensions,

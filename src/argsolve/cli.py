@@ -1,10 +1,10 @@
 """Command-line front end: generate instances, solve and decide
 problems on them, and run the benchmark protocol.
 
-Exit codes: 0 success, 2 usage error, 3 input-format error, 4 when a
-search was interrupted by the timeout (``solve`` listings accept that
-with --timeout-ok; a decision cut by the timeout has no answer and
-always exits 4).
+Exit codes: 0 success, 2 usage error, 3 unreadable or malformed input,
+4 when a search was interrupted by the timeout (``solve`` listings
+accept that with --timeout-ok; a decision cut by the timeout has no
+answer and always exits 4).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import budget as budget_mod
 from . import netgen
-from .encodings import EncodingRequest, UserRequirement, enumerate_extensions, is_preferred
+from .encodings import EncodingRequest, enumerate_extensions, is_preferred
 from .engine import (
     DEFAULT_TIMEOUT_MS,
     INPUT_ORDER,
@@ -27,6 +27,7 @@ from .engine import (
     ONE_FIRST,
     SEEDED_RANDOM,
     ZERO_FIRST,
+    ConditionalRequirement,
     Literal,
     SearchConfig,
 )
@@ -52,6 +53,10 @@ def _timeout_ms(text: str) -> float:
 
 class _UsageError(Exception):
     pass
+
+
+class _InputError(Exception):
+    """The input file cannot be read as text (exit 3)."""
 
 
 @dataclass(frozen=True)
@@ -228,7 +233,7 @@ def _parse_condition(expr: str, framework: Framework) -> tuple[tuple[Literal, ..
     return tuple(clauses)
 
 
-def _parse_requirement(expr: str, framework: Framework) -> UserRequirement:
+def _parse_requirement(expr: str, framework: Framework) -> ConditionalRequirement:
     stripped = expr.strip()
     match = re.fullmatch(r"if\s+(?P<guard>.+?)\s+then\s+(?P<cons>.+)", stripped, re.S)
     if match:
@@ -237,10 +242,13 @@ def _parse_requirement(expr: str, framework: Framework) -> UserRequirement:
     else:
         guard = ()
         consequence = _parse_condition(stripped, framework)
-    return UserRequirement(guard, consequence)
+    try:
+        return ConditionalRequirement(guard, consequence)
+    except ValueError as exc:  # a clause that names one argument twice
+        raise _UsageError(f"requirement {expr!r}: {exc}") from None
 
 
-def _parse_forbid(expr: str, framework: Framework) -> UserRequirement:
+def _parse_forbid(expr: str, framework: Framework) -> ConditionalRequirement:
     """Compile a forbidden conjunction into a requirement: if all but
     the last literal hold, the last one must not."""
     clauses = _parse_condition(expr, framework)
@@ -251,7 +259,7 @@ def _parse_forbid(expr: str, framework: Framework) -> UserRequirement:
         literals.append(clause[0])
     last = literals[-1]
     guard = tuple((lit,) for lit in literals[:-1])
-    return UserRequirement(guard, ((Literal(last.var, 1 - last.value),),))
+    return ConditionalRequirement(guard, ((Literal(last.var, 1 - last.value),),))
 
 
 # -- command implementations --------------------------------------------
@@ -266,6 +274,24 @@ def _parse_weight_scheme(text: "str | None") -> tuple[str, int]:
     if match:
         return netgen.WEIGHTS_INT, int(match.group(1))
     raise _UsageError(f"cannot parse weight scheme {text!r} (use none, int:MAX or fuzzy)")
+
+
+def _read_framework(path: str) -> Framework:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise _InputError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise _InputError(f"{path} is not UTF-8 text") from None
+    return parse_dl(text)
+
+
+def _gen_spec(**fields) -> netgen.GenSpec:
+    """A generator spec from flag values; one it rejects is a usage error."""
+    try:
+        return netgen.GenSpec(**fields)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _fig4_framework(weights_flag: "str | None") -> Framework:
@@ -283,7 +309,7 @@ def _cmd_generate(args) -> int:
         framework = _fig4_framework(args.weights)
     else:
         scheme, weight_max = _parse_weight_scheme(args.weights)
-        spec = netgen.GenSpec(
+        spec = _gen_spec(
             kind=args.kind,
             node_count=args.nodes,
             edges_per_step=args.edges_per_step,
@@ -340,7 +366,7 @@ def _search_config(args) -> SearchConfig:
 
 
 def _cmd_solve(args) -> int:
-    framework = parse_dl(Path(args.input).read_text(encoding="utf-8"))
+    framework = _read_framework(args.input)
 
     if args.check_preferred is not None:
         if framework.is_weighted:
@@ -394,7 +420,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_decide(args) -> int:
-    framework = parse_dl(Path(args.input).read_text(encoding="utf-8"))
+    framework = _read_framework(args.input)
     names = framework.names
 
     def target_extension():
@@ -458,7 +484,7 @@ def run_bench(plan: BenchPlan) -> list[dict]:
             if plan.kind == "fig4":
                 framework = netgen.fig4(weighted=bool(alpha_names))
             else:
-                spec = netgen.GenSpec(
+                spec = _gen_spec(
                     kind=plan.kind,
                     node_count=size,
                     edges_per_step=plan.edges_per_step,
@@ -564,10 +590,10 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DlParseError as exc:
+    except (DlParseError, _InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except FileNotFoundError as exc:  # an output path in a missing directory
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except TimeoutError as exc:

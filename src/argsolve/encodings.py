@@ -74,23 +74,17 @@ RANGE = "range"
 
 
 @dataclass(frozen=True)
-class UserRequirement:
-    """A side requirement over argument membership: guard implies
-    consequence, both conjunctions of disjunctive clauses of
-    argument literals."""
-
-    guard: tuple[tuple[Literal, ...], ...]
-    consequence: tuple[tuple[Literal, ...], ...]
-
-
-@dataclass(frozen=True)
 class EncodingRequest:
-    """Everything needed to enumerate one semantics on one framework."""
+    """Everything needed to enumerate one semantics on one framework.
+
+    ``requirements`` are side requirements over argument membership,
+    whose variables are the framework's argument indices.
+    """
 
     framework: Framework
     spec: SemanticsSpec
     config: SearchConfig = SearchConfig()
-    requirements: tuple[UserRequirement, ...] = ()
+    requirements: tuple[ConditionalRequirement, ...] = ()
 
 
 def encode(framework: Framework, spec: SemanticsSpec) -> Model:
@@ -170,10 +164,7 @@ def apply_user_requirements(model: Model, requirements) -> Model:
     """Append side requirements; the solution set can only shrink."""
     if not requirements:
         return model
-    extra = tuple(
-        ConditionalRequirement(req.guard, req.consequence) for req in requirements
-    )
-    return replace(model, conditionals=model.conditionals + extra)
+    return replace(model, conditionals=model.conditionals + tuple(requirements))
 
 
 def extremal(

@@ -4,10 +4,21 @@ The engine takes hard constraints (forbidden assignment patterns,
 guarded requirements, the classical argumentation rules, and the
 weighted defense and completeness rules of argumentation) plus, for
 soft models, semiring cost terms with an acceptance threshold. Search
-is depth-first with forward checking. Forbidden patterns and guarded
-requirements share one clause checker: a forbidden pattern is the
-unguarded clause that one of its literals fails, and once a guard is
-entailed, a consequence clause with one open literal left forces it.
+is depth-first with forward checking.
+
+Propagation is one table from events to checks (Schulte and Stuckey,
+TOPLAS 2008). Each rule of a model becomes checks, plain functions
+paired with the compiled rule they read, listed under the (value,
+variable) assignments that can make them fire and once in a root list.
+Propagation runs the roots, then the checks listed under the value of
+each newly set variable, until no forced variable is left. Cost terms
+fire inside the assignment instead: they change the state, where a
+check only returns a verdict.
+
+Forbidden patterns and guarded requirements share one clause checker:
+a forbidden pattern is the unguarded clause that one of its literals
+fails, and once a guard is entailed, a consequence clause with one
+open literal left forces it.
 The classical rules (``ArgumentRules``) work on per-argument attacker
 and target bitsets, a few integer operations per assignment: a member
 forces its attackers and targets out; an attacker of a member with one
@@ -329,36 +340,59 @@ class _Solver:
         self.n = n
         self.full_mask = (1 << n) - 1
 
+        # Every propagator is a (check, argument) pair, woken by the
+        # (value, variable) events in ``watch`` and run once from ``roots``.
+        # The checks are plain functions called as ``check(self, arg,
+        # queue)``: bound methods would tie each solver into a reference
+        # cycle, left for the cyclic garbage collector to free.
+        self.watch: list[list[list[tuple]]] = [[[] for _ in range(n)] for _ in (0, 1)]
+        self.roots: list[tuple] = []
+
         # A nogood is the clause that some literal of it fails: the same
         # masks with their polarities swapped, under no guard.
-        self.cond_masks = [([], [_masks(ng.literals)[::-1]]) for ng in model.nogoods]
-        self.cond_masks += [
+        clauses = [([], [_masks(ng.literals)[::-1]]) for ng in model.nogoods]
+        clauses += [
             (
                 [_masks(clause) for clause in cond.guard],
                 [_masks(clause) for clause in cond.consequence],
             )
             for cond in model.conditionals
         ]
-
-        self.watch_cd: list[list[int]] = [[] for _ in range(n)]
-        for idx, (guard, cons) in enumerate(self.cond_masks):
+        for guard, cons in clauses:
             involved = 0
             for pos, neg in guard + cons:
                 involved |= pos | neg
-            for var in iter_bits(involved):
-                self.watch_cd[var].append(idx)
-
-        self.defenses: list[tuple] = []
-        self.completions: list[tuple] = []
-        self.weighted = bool(model.defenses or model.completeness)
-        if self.weighted:
-            self._watch_weighted_rules()
+            events = [(value, var) for var in iter_bits(involved) for value in (0, 1)]
+            self._register(_Solver._check_conditional, (guard, cons), events)
 
         self.rules = model.argumentation
         self.attacked = 0
         self.track_attacked = False
         if self.rules is not None:
-            self._index_arguments(self.rules)
+            self._register_arguments(self.rules)
+
+        # A weighted rule wakes on the assignments that can make it fire: a
+        # defense on its child (if any) set to 1, its parent or a counter
+        # set to 0; a completeness rule on its child or a parent set to 0,
+        # or a counter set to 1.
+        for d in model.defenses:
+            mask = 0
+            events = {(0, d.parent)}
+            if d.child is not None:
+                events.add((1, d.child))
+            for var, _ in d.counters:
+                mask |= 1 << var
+                events.add((0, var))
+            rule = (d.child, d.parent, d.incoming, d.counters, mask)
+            self._register(_Solver._check_defense, rule, events)
+        for c in model.completeness:
+            events = {(0, c.child)}
+            parents = 0
+            for parent, _, counters in c.rows:
+                parents |= 1 << parent
+                events.add((0, parent))
+                events |= {(1, var) for var, _ in counters}
+            self._register(_Solver._check_completeness, (c.child, parents, c.rows), events)
 
         # Cost terms fire when the last literal of their trigger is set. An
         # associative combination takes one more factor per fired term;
@@ -382,39 +416,21 @@ class _Solver:
         self.nodes = 0
         self.complete = True
 
-    def _watch_weighted_rules(self) -> None:
-        """Index the weighted rules per (value, variable), on the
-        assignments that can make them fire: a defense on its child (if
-        any) set to 1, its parent or a counter set to 0; a completeness
-        rule on its child or a parent set to 0, or a counter set to 1."""
-        n = self.n
-        self.watch_def: list[list[list[int]]] = [[[] for _ in range(n)] for _ in (0, 1)]
-        for idx, d in enumerate(self.model.defenses):
-            mask = 0
-            events = {(0, d.parent)}
-            if d.child is not None:
-                events.add((1, d.child))
-            for var, _ in d.counters:
-                mask |= 1 << var
-                events.add((0, var))
-            self.defenses.append((d.child, d.parent, d.incoming, d.counters, mask))
-            for value, var in events:
-                self.watch_def[value][var].append(idx)
-        self.watch_cpl: list[list[list[int]]] = [[[] for _ in range(n)] for _ in (0, 1)]
-        for idx, c in enumerate(self.model.completeness):
-            parents = 0
-            events = {(0, c.child)}
-            for parent, _, counters in c.rows:
-                parents |= 1 << parent
-                events.add((0, parent))
-                events |= {(1, var) for var, _ in counters}
-            self.completions.append((c.child, parents, c.rows))
-            for value, var in events:
-                self.watch_cpl[value][var].append(idx)
+    def _register(self, check, arg, events) -> None:
+        """Wake ``check`` on each (value, variable) of ``events`` and once
+        at the root."""
+        for value, var in events:
+            self.watch[value][var].append((check, arg))
+        self.roots.append((check, arg))
 
-    def _index_arguments(self, rules: ArgumentRules) -> None:
-        """Attacker and target bitsets plus their index tuples, so that
-        the event loops never decompose a bitset."""
+    def _register_arguments(self, rules: ArgumentRules) -> None:
+        """The classical rules over attacker and target bitsets, each woken
+        with the index tuple it scans, so that no check decomposes a
+        bitset. A new 1 wakes conflict-freeness on its neighbours, defense
+        on its attackers and completeness on the targets of its targets,
+        the only arguments whose defense it can complete; a new 0 wakes
+        defense on its targets and stability on its own cover and those
+        of its targets. The roots scan every argument once."""
         n = self.n
         att = rules.attackers
         tgt = [0] * n
@@ -423,24 +439,35 @@ class _Solver:
                 tgt[p] |= 1 << x
         self.att = att
         self.tgt = tgt
-        self.att_of = [tuple(iter_bits(mask)) for mask in att]
-        self.tgt_of = [tuple(iter_bits(mask)) for mask in tgt]
-        # Conflict-freeness: the neighbours a member forces out.
-        self.near = [att[x] | tgt[x] for x in range(n)]
-        self.near_of = [tuple(iter_bits(mask)) for mask in self.near]
-        # Stability: x or one of its attackers is 1; a new 0 concerns its
-        # own cover and those of its targets.
+        self.tgt_of = tgt_of = [tuple(iter_bits(mask)) for mask in tgt]
+        # Stability: x or one of its attackers is 1.
         self.cover = [att[x] | 1 << x for x in range(n)]
-        self.cover_of = [(x,) + self.tgt_of[x] for x in range(n)]
-        # Completeness: a new 1 can only complete the defense of the
-        # targets of its targets; ``attacked`` holds the targets of the 1s.
+        # Completeness: ``attacked`` holds the targets of the 1s.
         self.track_attacked = rules.completeness
+        everyone = range(n)
+        on_one, on_zero = self.watch[1], self.watch[0]
+        for x in everyone:
+            if rules.conflict_free:
+                near = att[x] | tgt[x]
+                on_one[x].append((_Solver._check_conflicts, (near, tuple(iter_bits(near)))))
+            if rules.defense:
+                on_one[x].append((_Solver._check_attackers, tuple(iter_bits(att[x]))))
+                on_zero[x].append((_Solver._check_attackers, tgt_of[x]))
+            if rules.completeness:
+                reach = 0
+                for p in tgt_of[x]:
+                    reach |= tgt[p]
+                on_one[x].append((_Solver._check_defended, tuple(iter_bits(reach))))
+            if rules.stability:
+                on_zero[x].append((_Solver._check_covers, (x,) + tgt_of[x]))
+        if rules.conflict_free:
+            self.roots.append((_Solver._out, [x for x in everyone if att[x] >> x & 1]))
+        if rules.defense:
+            self.roots.append((_Solver._check_attackers, everyone))
         if rules.completeness:
-            reach = [0] * n
-            for g in range(n):
-                for p in self.tgt_of[g]:
-                    reach[g] |= tgt[p]
-            self.reach_of = [tuple(iter_bits(mask)) for mask in reach]
+            self.roots.append((_Solver._check_defended, everyone))
+        if rules.stability:
+            self.roots.append((_Solver._check_covers, everyone))
 
     def _static_order(self) -> list[int]:
         if self.config.var_heuristic == INPUT_ORDER:
@@ -450,7 +477,7 @@ class _Solver:
             counts[var] += 1
         if self.rules is not None:  # the degree of each argument
             for x in range(self.n):
-                counts[x] += len(self.att_of[x]) + len(self.tgt_of[x])
+                counts[x] += self.att[x].bit_count() + self.tgt[x].bit_count()
         return sorted(range(self.n), key=lambda v: (-counts[v], v))
 
     # -- propagation ---------------------------------------------------
@@ -495,8 +522,11 @@ class _Solver:
             return True, 0
         return False, (pos | neg) & ~assigned
 
-    def _check_conditional(self, idx: int, queue: list[int]) -> bool:
-        guard, cons = self.cond_masks[idx]
+    # Each check returns False when the state violates its rule, and
+    # otherwise forces what the rule entails through ``queue``.
+
+    def _check_conditional(self, masks: tuple, queue: list[int]) -> bool:
+        guard, cons = masks
         for pos, neg in guard:
             satisfied, pending = self._clause_state(pos, neg)
             if not satisfied:
@@ -513,8 +543,8 @@ class _Solver:
                     return False
         return True
 
-    def _check_defense(self, idx: int, queue: list[int]) -> bool:
-        child, parent, incoming, counters, mask = self.defenses[idx]
+    def _check_defense(self, rule: tuple, queue: list[int]) -> bool:
+        child, parent, incoming, counters, mask = rule
         assigned, values = self.assigned, self.values
         zeros = assigned & ~values
         if values >> parent & 1 or child is not None and zeros >> child & 1:
@@ -532,8 +562,8 @@ class _Solver:
             return self._force(parent, 1, queue)
         return False
 
-    def _check_completeness(self, idx: int, queue: list[int]) -> bool:
-        child, parents, rows = self.completions[idx]
+    def _check_completeness(self, rule: tuple, queue: list[int]) -> bool:
+        child, parents, rows = rule
         assigned, values = self.assigned, self.values
         if values >> child & 1 or parents & ~(assigned & ~values):
             return True  # child in, or some parent not out
@@ -549,13 +579,20 @@ class _Solver:
     # nogood per attack and per (member, attacker) pair, one guarded
     # requirement per argument and one stability nogood per argument.
 
-    def _out(self, targets: "Sequence[int]", queue: list[int]) -> None:
+    def _out(self, targets: "Sequence[int]", queue: list[int]) -> bool:
         """Set every open argument of ``targets`` to 0."""
         assigned = self.assigned
         for x in targets:
             if not assigned >> x & 1:
                 self._set(x, 0)
                 queue.append(x)
+        return True
+
+    def _check_conflicts(self, near: tuple, queue: list[int]) -> bool:
+        """Conflict-freeness around a new 1: ``near`` is the bitset and the
+        index tuple of its attackers and targets, which must all be 0."""
+        mask, neighbours = near
+        return not mask & self.values and self._out(neighbours, queue)
 
     def _check_attackers(self, arguments: "Sequence[int]", queue: list[int]) -> bool:
         """Defense against each ``p`` of ``arguments``: while no attacker
@@ -605,68 +642,21 @@ class _Solver:
                 return False
         return True
 
-    def _argue(self, var: int, queue: list[int]) -> bool:
-        """Run the classical rules that the new value of ``var`` can fire."""
-        rules = self.rules
-        if self.values >> var & 1:
-            if rules.conflict_free:
-                if self.near[var] & self.values:
-                    return False
-                self._out(self.near_of[var], queue)
-            return (
-                (not rules.defense or self._check_attackers(self.att_of[var], queue))
-                and (not rules.completeness or self._check_defended(self.reach_of[var], queue))
-            )
-        return (
-            (not rules.defense or self._check_attackers(self.tgt_of[var], queue))
-            and (not rules.stability or self._check_covers(self.cover_of[var], queue))
-        )
-
-    def _argue_roots(self, queue: list[int]) -> bool:
-        rules = self.rules
-        everyone = range(self.n)
-        if rules.conflict_free:
-            self._out([x for x in everyone if self.att[x] >> x & 1], queue)
-        return (
-            (not rules.defense or self._check_attackers(everyone, queue))
-            and (not rules.completeness or self._check_defended(everyone, queue))
-            and (not rules.stability or self._check_covers(everyone, queue))
-        )
-
     def _propagate(self, queue: list[int]) -> bool:
-        clauses = bool(self.cond_masks)
-        argue = self.rules is not None
+        """Run the checks each new value wakes until ``queue`` is empty."""
+        watch = self.watch
         while queue:
             var = queue.pop()
-            if clauses:
-                for idx in self.watch_cd[var]:
-                    if not self._check_conditional(idx, queue):
-                        return False
-            if argue and not self._argue(var, queue):
-                return False
-            if self.weighted:
-                value = self.values >> var & 1
-                for idx in self.watch_def[value][var]:
-                    if not self._check_defense(idx, queue):
-                        return False
-                for idx in self.watch_cpl[value][var]:
-                    if not self._check_completeness(idx, queue):
-                        return False
+            for check, arg in watch[self.values >> var & 1][var]:
+                if not check(self, arg, queue):
+                    return False
         return True
 
     def _propagate_roots(self) -> bool:
         queue: list[int] = []
-        for idx in range(len(self.cond_masks)):
-            if not self._check_conditional(idx, queue):
+        for check, arg in self.roots:
+            if not check(self, arg, queue):
                 return False
-        for idx in range(len(self.defenses)):
-            if not self._check_defense(idx, queue):
-                return False
-        for idx in range(len(self.completions)):
-            if not self._check_completeness(idx, queue):
-                return False
-        if self.rules is not None and not self._argue_roots(queue):
-            return False
         return self._propagate(queue)
 
     def _within_budget(self) -> bool:

@@ -64,7 +64,7 @@ class GenSpec:
             raise ValueError("edges_per_step must be at least 1")
         if self.long_range_per_node < 1:
             raise ValueError("long_range_per_node must be at least 1")
-        if self.theta <= 0:
+        if not self.theta > 0:  # NaN included
             raise ValueError("the clustering exponent must be positive")
         if self.orient not in (ORIENT_COIN, ORIENT_BOTH):
             raise ValueError(f"unknown orientation policy {self.orient!r}")

@@ -269,8 +269,10 @@ class TestUsage:
 
 
 class TestTimeoutFlag:
-    # (ARGSOLVE_TIMEOUT_MS, argv with IN for the input file, exit code);
-    # every rejected value is one usage error.
+    # (ARGSOLVE_TIMEOUT_MS, argv with IN for the input file, DIR for its
+    # directory and BYTES for a file that is not UTF-8, exit code); every
+    # rejected value is one usage error, every unreadable input one input
+    # error.
     CASES = [
         (None, ["solve", "IN", "--check-preferred", "a", "--timeout", "0"], 2),
         (None, ["solve", "IN", "--semantics", "stable", "--timeout", "-5"], 2),
@@ -288,6 +290,24 @@ class TestTimeoutFlag:
                  "--out", "IN.table"], 2),
         ("abc", ["generate", "--kind", "fig4", "--out", "IN.copy"], 0),
         ("5000", ["solve", "IN", "--semantics", "stable"], 0),
+        (None, ["solve", "DIR", "--semantics", "stable"], 3),
+        (None, ["solve", "BYTES", "--semantics", "stable"], 3),
+        (None, ["decide", "is-minimal", "DIR", "--set", "a", "--beta", "1"], 3),
+        (None, ["decide", "is-minimal", "BYTES", "--set", "a", "--beta", "1"], 3),
+        (None, ["generate", "--kind", "kleinberg", "--n", "0", "--out", "IN.gen"], 2),
+        (None, ["generate", "--kind", "barabasi", "--nodes", "-1", "--out", "IN.gen"], 2),
+        (None, ["generate", "--kind", "barabasi", "--edges-per-step", "0", "--out", "IN.gen"], 2),
+        (None, ["generate", "--kind", "kleinberg", "--long-range", "0", "--out", "IN.gen"], 2),
+        (None, ["generate", "--kind", "kleinberg", "--theta", "0", "--out", "IN.gen"], 2),
+        (None, ["generate", "--kind", "kleinberg", "--theta", "nan", "--out", "IN.gen"], 2),
+        (None, ["generate", "--kind", "kleinberg", "--weights", "int:0", "--out", "IN.gen"], 2),
+        (None, ["bench", "--kind", "barabasi", "--sizes", "1", "--semantics", "stable",
+                "--out", "IN.table"], 2),
+        (None, ["bench", "--kind", "barabasi", "--sizes", "4", "--semantics", "stable",
+                "--timeout", "-1", "--out", "IN.table"], 2),
+        (None, ["solve", "IN", "--semantics", "stable", "--require", "a|!a"], 2),
+        (None, ["solve", "IN", "--semantics", "stable", "--require", "if b|b then a"], 2),
+        (None, ["solve", "IN", "--semantics", "stable", "--require", "a|b"], 0),
     ]
 
     @pytest.mark.parametrize("env, argv, code", CASES)
@@ -296,7 +316,11 @@ class TestTimeoutFlag:
             monkeypatch.delenv("ARGSOLVE_TIMEOUT_MS", raising=False)
         else:
             monkeypatch.setenv("ARGSOLVE_TIMEOUT_MS", env)
-        argv = [arg.replace("IN", str(fig4_plain_file)) for arg in argv]
+        latin1 = fig4_plain_file.with_name("latin1.dl")
+        latin1.write_bytes("arg(\u00e9).\n".encode("latin-1"))
+        paths = {"BYTES": latin1, "DIR": fig4_plain_file.parent, "IN": fig4_plain_file}
+        for token, path in paths.items():
+            argv = [arg.replace(token, str(path)) for arg in argv]
         assert main(argv) == code
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == (1 if code else 0), errors

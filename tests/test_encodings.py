@@ -5,7 +5,6 @@ import pytest
 
 from argsolve.encodings import (
     EncodingRequest,
-    UserRequirement,
     apply_user_requirements,
     encode,
     enumerate_extensions,
@@ -14,7 +13,14 @@ from argsolve.encodings import (
     is_preferred,
 )
 from argsolve import netgen
-from argsolve.engine import Literal, SearchConfig, satisfies, solve_all, solve_within_budget
+from argsolve.engine import (
+    ConditionalRequirement,
+    Literal,
+    SearchConfig,
+    satisfies,
+    solve_all,
+    solve_within_budget,
+)
 from argsolve.model import Extension, ExtensionSet, Framework
 from argsolve.model import extremal as model_extremal
 from argsolve.oracle import (
@@ -472,7 +478,7 @@ class TestIsPreferred:
 class TestUserRequirements:
     def test_if_b_then_a_on_conflict_free(self, fig4u):
         b, a = fig4u.index_of("b"), fig4u.index_of("a")
-        req = UserRequirement(((Literal(b, 1),),), ((Literal(a, 1),),))
+        req = ConditionalRequirement(((Literal(b, 1),),), ((Literal(a, 1),),))
         request = EncodingRequest(fig4u, SemanticsSpec(CONFLICT_FREE), SearchConfig(), (req,))
         out = enumerate_extensions(request)
         # the conflict-free sets {b} and {b,d} violate the requirement
@@ -486,7 +492,7 @@ class TestUserRequirements:
         # a -> b -> c: the admissible sets without c are {} and {a}; the
         # only complete set, {a, c}, is forbidden.
         f = Framework(3, ((0, 1), (1, 2)), ("a", "b", "c"))
-        forbid_c = UserRequirement((), ((Literal(2, 0),),))
+        forbid_c = ConditionalRequirement((), ((Literal(2, 0),),))
         for kind in (PREFERRED, IDEAL):
             request = EncodingRequest(f, SemanticsSpec(kind), SearchConfig(), (forbid_c,))
             assert enumerate_extensions(request).solutions.bitsets() == bitsets(f, "a")
@@ -496,7 +502,7 @@ class TestUserRequirements:
         rng = random.Random(61)
         for f in small_corpus(12):
             var = rng.randrange(f.n)
-            req = UserRequirement((), ((Literal(var, rng.randint(0, 1)),),))
+            req = ConditionalRequirement((), ((Literal(var, rng.randint(0, 1)),),))
             model = apply_user_requirements(encode(f, SemanticsSpec(ADMISSIBLE)), (req,))
             base = [
                 Extension(bits, f.n)
@@ -518,7 +524,7 @@ class TestUserRequirements:
         from argsolve.model import Framework
 
         f = Framework(4)
-        req = UserRequirement(
+        req = ConditionalRequirement(
             ((Literal(0, 1),), (Literal(1, 0),)),
             ((Literal(2, 1), Literal(3, 1)), (Literal(2, 0), Literal(3, 0))),
         )

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -16,13 +18,14 @@ from argsolve.engine import (
     SearchConfig,
     WeightedCompleteness,
     WeightedDefense,
+    _Solver,
     blevel,
     evaluate,
     satisfies,
     solve_all,
     solve_within_budget,
 )
-from argsolve.oracle import CONFLICT_FREE, SemanticsSpec
+from argsolve.oracle import ANY_ATTACK, CONFLICT_FREE, STRICT, SemanticsSpec
 from argsolve.semiring import WEIGHTED, cost_value
 
 
@@ -489,3 +492,66 @@ class TestDeterminismAndHeuristics:
         model = Model(18)  # 262144 leaves: enough to outlast a tiny budget
         out = solve_all(model, SearchConfig(timeout_ms=0.001))
         assert not out.complete
+
+
+class TestPinnedSearchCounts:
+    """Nodes and solutions of a small seeded table, pinned so that a
+    change to propagation strength shows even when the answers hold."""
+
+    LATTICE = netgen.GenSpec(kind="kleinberg", side=4, seed=1, orient="both")
+    WEIGHTED = netgen.GenSpec(kind="kleinberg", side=3, seed=1, orient="both",
+                              weight_scheme="int", weight_max=9, weight_seed=2)
+    # (kind, alpha, stable rule, extra constraints, nodes, solutions)
+    CASES = [
+        ("conflict-free", None, None, None, 508, 255),
+        ("admissible", None, None, None, 186, 85),
+        ("complete", None, None, None, 146, 48),
+        ("stable", None, None, None, 36, 14),
+        ("admissible", None, None, "requirement", 74, 35),
+        ("conflict-free", None, None, "nogoods", 216, 109),
+        ("conflict-free", 5, None, None, 160, 29),
+        ("admissible", 5, None, None, 76, 2),
+        ("complete", 5, None, None, 76, 2),
+        ("stable", 5, STRICT, None, 94, 4),
+        ("stable", 5, ANY_ATTACK, None, 108, 10),
+        ("conflict-free", 30, None, None, 532, 144),
+        ("admissible", 30, None, None, 288, 22),
+        ("complete", 30, None, None, 288, 21),
+        ("stable", 30, STRICT, None, 0, 0),
+        ("stable", 30, ANY_ATTACK, None, 414, 88),
+    ]
+
+    @pytest.mark.parametrize("kind, alpha, rule, extra, nodes, solutions", CASES)
+    def test_counts(self, kind, alpha, rule, extra, nodes, solutions):
+        if alpha is None:
+            model = encode(netgen.generate(self.LATTICE), SemanticsSpec(kind))
+        else:
+            spec = SemanticsSpec(kind, True, cost_value(alpha), rule)
+            model = encode(netgen.generate(self.WEIGHTED), spec)
+        if extra == "requirement":  # with 0 out, 15 or 6 is in
+            model = replace(model, conditionals=(cond([[(0, 0)]], [[(15, 1), (6, 1)]]),))
+        elif extra == "nogoods":
+            model = replace(model, nogoods=(ng((0, 0), (1, 0), (2, 0)), ng((5, 1), (10, 1))))
+        out = (solve_all if alpha is None else solve_within_budget)(model)
+        assert (out.nodes, len(out.solutions)) == (nodes, solutions)
+
+
+class TestSolverLifetime:
+    def test_a_solver_is_freed_by_reference_counting(self):
+        # A reference cycle would leave every solver to the cyclic
+        # collector; with every rule family loaded, none may form.
+        f = netgen.generate(TestPinnedSearchCounts.WEIGHTED)
+        model = encode(f, SemanticsSpec("complete", True, cost_value(30)))
+        rules = ArgumentRules(tuple(f.attacker_mask(a) for a in range(f.n)), conflict_free=True,
+                              defense=True, completeness=True, stability=True)
+        model = replace(model, argumentation=rules, nogoods=(ng((0, 1), (1, 1)),),
+                        conditionals=(cond([[(2, 1)]], [[(3, 0), (4, 0)]]),))
+        gc.disable()
+        try:
+            solver = _Solver(model, SearchConfig())
+            solver.run()
+            ref = weakref.ref(solver)
+            del solver
+            assert ref() is None
+        finally:
+            gc.enable()

@@ -18,6 +18,8 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             GenSpec(kind="kleinberg", theta=0)
         with pytest.raises(ValueError):
+            GenSpec(kind="kleinberg", theta=float("nan"))
+        with pytest.raises(ValueError):
             GenSpec(kind="erdos")
 
 
