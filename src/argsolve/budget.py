@@ -59,6 +59,14 @@ def _check_beta(beta) -> int:
     return beta
 
 
+def check_inputs(framework: Framework, beta=None) -> None:
+    """Raise ``ValueError`` unless every attack of ``framework`` has a
+    finite integer cost and ``beta``, when given, is a valid budget."""
+    _require_cost_weights(framework)
+    if beta is not None:
+        _check_beta(beta)
+
+
 def _lightest_first(weights: list[int]) -> Iterator[RemovalSet]:
     """Every attack subset, ordered by total weight and then by attack
     indices, generated lazily best-first.

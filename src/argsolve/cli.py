@@ -286,6 +286,14 @@ def _read_framework(path: str) -> Framework:
     return parse_dl(text)
 
 
+def _write(path: str, text: str) -> None:
+    """Write an output file; one that cannot be written is a usage error."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _gen_spec(**fields) -> netgen.GenSpec:
     """A generator spec from flag values; one it rejects is a usage error."""
     try:
@@ -323,7 +331,7 @@ def _cmd_generate(args) -> int:
             weight_seed=args.weight_seed,
         )
         framework = netgen.generate(spec)
-    Path(args.out).write_text(emit_dl(framework), encoding="utf-8")
+    _write(args.out, emit_dl(framework))
     return 0
 
 
@@ -406,13 +414,10 @@ def _cmd_solve(args) -> int:
         meta["var-heuristic"] = args.var_heuristic
         meta["val-heuristic"] = args.val_heuristic
         meta["timeout-ms"] = f"{args.timeout:g}"
-        Path(args.out).write_text(
-            emit_results(framework, outcome, meta, include_timing=args.stats),
-            encoding="utf-8",
-        )
+        _write(args.out, emit_results(framework, outcome, meta, include_timing=args.stats))
     if args.dot:
         highlight = outcome.solutions.items[0] if len(outcome.solutions) else None
-        Path(args.dot).write_text(emit_dot(framework, highlight), encoding="utf-8")
+        _write(args.dot, emit_dot(framework, highlight))
 
     if not outcome.complete and not args.timeout_ok:
         return 4
@@ -422,48 +427,46 @@ def _cmd_solve(args) -> int:
 def _cmd_decide(args) -> int:
     framework = _read_framework(args.input)
     names = framework.names
-
-    def target_extension():
-        if args.target is None:
-            raise _UsageError("--set is required for this problem")
-        members = [m for m in args.target.split(",") if m]
-        try:
-            return framework.extension(members)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
-
+    problem = args.problem
+    wge_problem = problem in ("credulous-wge", "skeptical-wge")
+    if wge_problem and (args.beta is None or args.argument is None):
+        raise _UsageError("--beta and --arg are required for this problem")
+    if not wge_problem and args.target is None:
+        raise _UsageError("--set is required for this problem")
+    if problem == "is-minimal" and args.beta is None:
+        raise _UsageError("--beta is required for this problem")
+    # Only the flags are validated here: a ValueError from the solver
+    # itself is a fault, not a usage error.
     try:
-        config = SearchConfig(timeout_ms=args.timeout)
-        if args.problem in ("credulous-wge", "skeptical-wge"):
-            if args.beta is None or args.argument is None:
-                raise _UsageError("--beta and --arg are required for this problem")
-            try:
-                argument = framework.index_of(args.argument)
-            except ValueError as exc:
-                raise _UsageError(str(exc)) from None
-            if args.problem == "credulous-wge":
-                verdict, witness = budget_mod.credulous(framework, args.beta, argument, config)
-                suffix = f" witness={witness.format(names)}" if witness is not None else ""
-            else:
-                verdict, counter = budget_mod.skeptical(framework, args.beta, argument, config)
-                suffix = f" counterexample={counter.format(names)}" if counter is not None else ""
-            print(("true" if verdict else "false") + suffix)
-        elif args.problem == "minimal-budget":
-            least, removal = budget_mod.minimal_budget(framework, target_extension(), config)
-            if least is None:
-                print("none")
-            else:
-                removed = ",".join(
-                    f"({names[s]},{names[d]})" for s, d in removal.attacks(framework)
-                )
-                print(f"{least} removal={{{removed}}}")
+        budget_mod.check_inputs(framework, None if problem == "minimal-budget" else args.beta)
+        if wge_problem:
+            argument = framework.index_of(args.argument)
         else:
-            if args.beta is None:
-                raise _UsageError("--beta is required for this problem")
-            verdict = budget_mod.is_minimal(framework, target_extension(), args.beta, config)
-            print("true" if verdict else "false")
+            target = framework.extension([m for m in args.target.split(",") if m])
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+
+    config = SearchConfig(timeout_ms=args.timeout)
+    if problem == "credulous-wge":
+        verdict, witness = budget_mod.credulous(framework, args.beta, argument, config)
+        suffix = f" witness={witness.format(names)}" if witness is not None else ""
+        print(("true" if verdict else "false") + suffix)
+    elif problem == "skeptical-wge":
+        verdict, counter = budget_mod.skeptical(framework, args.beta, argument, config)
+        suffix = f" counterexample={counter.format(names)}" if counter is not None else ""
+        print(("true" if verdict else "false") + suffix)
+    elif problem == "minimal-budget":
+        least, removal = budget_mod.minimal_budget(framework, target, config)
+        if least is None:
+            print("none")
+        else:
+            removed = ",".join(
+                f"({names[s]},{names[d]})" for s, d in removal.attacks(framework)
+            )
+            print(f"{least} removal={{{removed}}}")
+    else:
+        verdict = budget_mod.is_minimal(framework, target, args.beta, config)
+        print("true" if verdict else "false")
     return 0
 
 
@@ -558,7 +561,7 @@ def _cmd_bench(args) -> int:
     records = run_bench(plan)
 
     table = format_bench_table(plan, records)
-    Path(args.out).write_text(table, encoding="utf-8")
+    _write(args.out, table)
     print(table, end="")
 
     raw_path = args.raw or (args.out + ".raw")
@@ -569,7 +572,7 @@ def _cmd_bench(args) -> int:
         f"{r['ms']:.2f} {'true' if r['complete'] else 'false'}"
         for r in records
     ]
-    Path(raw_path).write_text("\n".join(raw_lines) + "\n", encoding="utf-8")
+    _write(raw_path, "\n".join(raw_lines) + "\n")
     return 0
 
 
@@ -591,9 +594,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DlParseError, _InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:  # an output path in a missing directory
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except TimeoutError as exc:

@@ -11,10 +11,13 @@ Classical models are exact and hold no nogoods or guarded requirements:
 each is the engine's classical rule set (``ArgumentRules``) over the
 framework's attacker bitsets, with conflict-freeness always on, defense
 for admissible and complete, completeness for complete and stability for
-stable. Grounded and semi-stable filter the complete family and stage
-the conflict-free one; preferred and ideal filter the complete family
-when classical with no side requirements, and the admissible one
-otherwise. Weighted models are exact for the conflict-free, admissible
+stable. Classical stage and semi-stable are the stable family whenever
+it has a member; otherwise a range-cut search of the conflict-free
+(stage) or complete (semi-stable) family leaves candidates for the same
+filter. Grounded and weighted semi-stable filter the complete family
+and weighted stage the conflict-free one; preferred and ideal filter the
+complete family when classical with no side requirements, and the
+admissible one otherwise. Weighted models are exact for the conflict-free, admissible
 and complete families: the conflict budget is a cost term per attack
 under the threshold alpha, and weighted defense and completeness are the
 engine's native rules, one defense per attack and one completeness rule
@@ -48,6 +51,7 @@ from .engine import (
     WeightedDefense,
     satisfies,
     solve_all,
+    solve_range_cut,
     solve_within_budget,
 )
 from .model import Extension, ExtensionSet, Framework, iter_bits
@@ -205,10 +209,13 @@ def _solve(model: Model, config: SearchConfig) -> SolveOutcome:
     return solve_all(model, config)
 
 
-def _enumerate_base(request: EncodingRequest, kind: str) -> SolveOutcome:
+def _base_model(request: EncodingRequest, kind: str) -> Model:
     model = encode(request.framework, replace(request.spec, kind=kind))
-    model = apply_user_requirements(model, request.requirements)
-    return _solve(model, request.config)
+    return apply_user_requirements(model, request.requirements)
+
+
+def _enumerate_base(request: EncodingRequest, kind: str) -> SolveOutcome:
+    return _solve(_base_model(request, kind), request.config)
 
 
 def _base_kind(request: EncodingRequest) -> str:
@@ -239,7 +246,8 @@ def _base_kind(request: EncodingRequest) -> str:
 def enumerate_extensions(request: EncodingRequest) -> SolveOutcome:
     """Enumerate all extensions of the requested semantics.
 
-    Base kinds are one solver run. The inclusion-extremal kinds first
+    Base kinds are one solver run. Classical stage and semi-stable take
+    ``_enumerate_range_maximal``. The other inclusion-extremal kinds first
     enumerate their whole base family, ignoring the solution cap, and
     then keep the subset-extremal elements with the output-sensitive
     ``extremal`` filter; the cap then applies to those. A member of a
@@ -250,18 +258,53 @@ def enumerate_extensions(request: EncodingRequest) -> SolveOutcome:
     kind = request.spec.kind
     if kind in BASE_KINDS:
         return _enumerate_base(request, kind)
-    base_kind = _base_kind(request)
+    if kind in (STAGE, SEMI_STABLE) and not request.spec.weighted:
+        return _enumerate_range_maximal(request)
+    uncapped = replace(request, config=replace(request.config, solution_cap=None))
+    return _keep_extremal(request, _enumerate_base(uncapped, _base_kind(request)))
 
-    config = request.config
-    uncapped = replace(request, config=replace(config, solution_cap=None))
-    base = _enumerate_base(uncapped, base_kind)
+
+def _keep_extremal(request: EncodingRequest, base: SolveOutcome) -> SolveOutcome:
+    """The extremal members among the solutions of ``base``, capped; none
+    when ``base`` was cut."""
     if not base.complete:
         return replace(base, solutions=ExtensionSet())
     kept = _extremal_members(request.framework, request.spec, list(base.solutions))
-    cap = config.solution_cap
+    cap = request.config.solution_cap
     if cap is not None and len(kept) > cap:
         return replace(base, solutions=ExtensionSet.of(kept[:cap]), complete=False)
     return replace(base, solutions=ExtensionSet.of(kept))
+
+
+def _enumerate_range_maximal(request: EncodingRequest) -> SolveOutcome:
+    """Classical stage or semi-stable: stable first, then a range-cut
+    search of the base family.
+
+    A stable set is conflict-free and complete and has full range, so
+    when the stable model (with the side requirements) has a member, the
+    range-maximal sets of the base family that meet the requirements
+    are exactly the stable ones that do. The probe asks for one member
+    more than the cap, so a listing is marked incomplete only when the
+    family is larger than the cap; every member a timed-out probe found
+    is a true member. Otherwise ``solve_range_cut`` searches the base
+    family on the time left and ``extremal`` keeps the range-maximal
+    candidates. Nodes and elapsed time count both searches.
+    """
+    config = request.config
+    cap = config.solution_cap
+    probe_config = replace(config, solution_cap=None if cap is None else cap + 1)
+    stable = _enumerate_base(replace(request, config=probe_config), STABLE)
+    if stable.solutions:
+        if cap is not None and len(stable.solutions) > cap:
+            return replace(stable, solutions=ExtensionSet.of(stable.solutions.items[:cap]), complete=False)
+        return stable
+    left_ms = config.timeout_ms - stable.elapsed_ms
+    if not stable.complete or left_ms <= 0:
+        return replace(stable, complete=False)
+    base_config = replace(config, solution_cap=None, timeout_ms=left_ms)
+    base = solve_range_cut(_base_model(request, _base_kind(request)), base_config)
+    base = replace(base, nodes=stable.nodes + base.nodes, elapsed_ms=stable.elapsed_ms + base.elapsed_ms)
+    return _keep_extremal(request, base)
 
 
 def _extremal_members(f: Framework, spec: SemanticsSpec, base: list[Extension]) -> list[Extension]:

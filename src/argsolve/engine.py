@@ -44,9 +44,9 @@ One iterative walk (``_Solver.leaves``) serves every search: it keeps an
 explicit stack instead of recursing, so the number of variables is not
 bounded by the interpreter's recursion limit. The search state is a
 few immutable values, so each stack frame saves them and backtracking
-restores that copy. Enumeration, budget solving and the
-branch-and-bound ``blevel`` differ only in the bound that decides
-whether a branch is kept.
+restores that copy. Enumeration, budget solving, the range-cut search
+(``solve_range_cut``) and the branch-and-bound ``blevel`` differ only
+in the bound that decides whether a branch is kept.
 
 Search is deterministic for a fixed model and configuration, including
 the seeded value-ordering heuristic.
@@ -741,9 +741,57 @@ class _Solver:
             if cap is not None and len(solutions) >= cap:
                 self.complete = False
                 break
+        return self._outcome(solutions, start)
+
+    def _outcome(self, solutions: list[int], start: float) -> SolveOutcome:
         elapsed = (time.monotonic() - start) * 1000.0
         extensions = ExtensionSet.of(Extension(bits, self.n) for bits in solutions)
         return SolveOutcome(extensions, self.complete, elapsed, self.nodes, self.config.seed)
+
+    def run_range_cut(self) -> SolveOutcome:
+        """The solutions that no solution found before them strictly
+        outranges, where the range of a set is the set plus its targets.
+
+        A branch is cut when the range of its upper bound (``values |
+        ~assigned``), which contains the range of every leaf below it,
+        lies strictly inside the range of a leaf already found; equal
+        ranges are kept. The test is indexed: ``lacking[x]`` is the bitset
+        over the found leaves whose range lacks argument ``x``, so the
+        leaves whose range holds the bound's range are those in no
+        ``lacking`` entry of its arguments, one OR per argument and no scan
+        of the leaves."""
+        start = time.monotonic()
+        full, tgt = self.full_mask, self.tgt
+        lacking = [0] * self.n
+        by_range: dict[int, int] = {}  # range -> bitset over the leaves with it
+        solutions: list[int] = []
+
+        def range_of(bits: int) -> int:
+            reach = bits
+            for x in iter_bits(bits):
+                reach |= tgt[x]
+            return reach
+
+        def keep() -> bool:
+            if not solutions:
+                return True
+            reach = range_of((self.values | ~self.assigned) & full)
+            if reach == full:
+                return True
+            missing = 0
+            for x in iter_bits(reach):
+                missing |= lacking[x]
+            holding = ~missing & ((1 << len(solutions)) - 1)
+            return not holding & ~by_range.get(reach, 0)
+
+        for bits in self.leaves(keep):
+            reach = range_of(bits)
+            index = 1 << len(solutions)
+            solutions.append(bits)
+            by_range[reach] = by_range.get(reach, 0) | index
+            for x in iter_bits(full & ~reach):
+                lacking[x] |= index
+        return self._outcome(solutions, start)
 
 
 def solve_all(model: Model, config: SearchConfig = SearchConfig()) -> SolveOutcome:
@@ -758,6 +806,25 @@ def solve_within_budget(model: Model, config: SearchConfig = SearchConfig()) -> 
     if model.semiring is None or model.threshold is None:
         raise ValueError("budget solving needs a semiring and a threshold")
     return _Solver(model, config).run()
+
+
+def solve_range_cut(model: Model, config: SearchConfig = SearchConfig()) -> SolveOutcome:
+    """Enumerate the solutions of a classical model with range cuts.
+
+    The range of a set is the set plus the targets of its members under
+    ``model.argumentation``. Ranges only grow with the set, so a branch
+    whose solutions all have a range strictly inside that of a solution
+    already found is cut. The solutions returned hold every one whose
+    range no other solution's range strictly contains, and possibly some
+    that only a solution found later outranges: the caller keeps the
+    range-maximal ones. Those are candidates, not members, so a solution
+    cap does not apply.
+    """
+    if model.argumentation is None or model.semiring is not None:
+        raise ValueError("range cuts need a classical model with argumentation rules")
+    if config.solution_cap is not None:
+        raise ValueError("a range-cut search returns candidates; cap the filtered family")
+    return _Solver(model, config).run_range_cut()
 
 
 def _bits_of(assignment: Sequence[int], num_vars: int) -> int:

@@ -202,6 +202,19 @@ class TestDecide:
         assert main(["decide", "credulous-wge", str(fig4_file), "--beta", "1"]) == 2
         assert main(["decide", "is-minimal", str(fig4_file), "--set", "a"]) == 2
 
+    def test_solver_value_error_is_not_a_usage_error(self, fig4_file, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("a fault inside the solver")
+
+        monkeypatch.setattr("argsolve.budget.credulous", broken)
+        with pytest.raises(ValueError, match="inside the solver"):
+            main(["decide", "credulous-wge", str(fig4_file), "--beta", "8", "--arg", "c"])
+
+    def test_flags_are_validated_before_solving(self, fig4_file):
+        assert main(["decide", "credulous-wge", str(fig4_file), "--beta", "-1", "--arg", "c"]) == 2
+        assert main(["decide", "skeptical-wge", str(fig4_file), "--beta", "8", "--arg", "zz"]) == 2
+        assert main(["decide", "minimal-budget", str(fig4_file), "--set", "a,zz"]) == 2
+
 
 class TestBench:
     def test_tiny_plan(self, tmp_path, capsys):
@@ -308,6 +321,16 @@ class TestTimeoutFlag:
         (None, ["solve", "IN", "--semantics", "stable", "--require", "a|!a"], 2),
         (None, ["solve", "IN", "--semantics", "stable", "--require", "if b|b then a"], 2),
         (None, ["solve", "IN", "--semantics", "stable", "--require", "a|b"], 0),
+        (None, ["solve", "IN", "--semantics", "stable", "--out", "DIR"], 2),
+        (None, ["solve", "IN", "--semantics", "stable", "--out", "IN.missing/x.txt"], 2),
+        (None, ["solve", "IN", "--semantics", "stable", "--dot", "DIR"], 2),
+        (None, ["solve", "IN", "--semantics", "stable", "--dot", "IN.missing/x.dot"], 2),
+        (None, ["generate", "--kind", "fig4", "--out", "DIR"], 2),
+        (None, ["generate", "--kind", "fig4", "--out", "IN.missing/x.dl"], 2),
+        (None, ["bench", "--kind", "fig4", "--sizes", "5", "--semantics", "stable",
+                "--out", "DIR"], 2),
+        (None, ["bench", "--kind", "fig4", "--sizes", "5", "--semantics", "stable",
+                "--out", "IN.table", "--raw", "IN.missing/raw.txt"], 2),
     ]
 
     @pytest.mark.parametrize("env, argv, code", CASES)

@@ -100,6 +100,45 @@ def bitsets(f, *groups):
     return {f.extension(list(g)).bits for g in groups}
 
 
+def no_stable_corpus():
+    """Small frameworks without a stable extension: odd cycles of 1 to 9
+    arguments, plus the coin lattices of side 3 and 4 and the coin
+    Barabasi graphs of 6 to 12 arguments in which the solver finds no
+    stable set (the tests confirm that by brute force)."""
+    frameworks = [Framework(n, tuple((i, (i + 1) % n) for i in range(n))) for n in (1, 3, 5, 7, 9)]
+    first_stable = SearchConfig(solution_cap=1)
+    for seed in range(500):
+        for spec in (
+            netgen.GenSpec(kind="kleinberg", side=4 if seed % 5 == 0 else 3, theta=0.5,
+                           seed=seed, orient="coin"),
+            netgen.GenSpec(kind="barabasi", node_count=6 + seed % 7, edges_per_step=2 + seed % 2,
+                           seed=seed, orient="coin"),
+        ):
+            f = netgen.generate(spec)
+            request = EncodingRequest(f, SemanticsSpec(STABLE), first_stable)
+            if not enumerate_extensions(request).solutions:
+                frameworks.append(f)
+    return frameworks
+
+
+def required_family(f, kind, req):
+    """Brute force: the members of the extremal ``kind`` among the sets of
+    its base family that meet ``req``; stage and semi-stable compare
+    ranges."""
+    base_kind = {STAGE: CONFLICT_FREE, SEMI_STABLE: COMPLETE}.get(kind, ADMISSIBLE)
+    model = apply_user_requirements(encode(f, SemanticsSpec(base_kind)), (req,))
+    base = [e for e in enumerate_bruteforce(f, SemanticsSpec(base_kind)) if satisfies(model, e.bits)]
+    if kind in (STAGE, SEMI_STABLE):
+        return {e.bits for e in model_extremal(base, "max", [f.range_of(e).bits for e in base])}
+    maximal = model_extremal(base, "max")
+    if kind == IDEAL:
+        common = (1 << f.n) - 1
+        for ext in maximal:
+            common &= ext.bits
+        maximal = model_extremal([e for e in base if e.bits & ~common == 0], "max")
+    return {e.bits for e in maximal}
+
+
 class TestClassicalEncodings:
     def test_conflict_free_model_shape(self, fig4u):
         model = encode(fig4u, SemanticsSpec(CONFLICT_FREE))
@@ -334,6 +373,55 @@ class TestExtremalCap:
         assert not out.complete and len(out.solutions) == 0
 
 
+class TestRangeMaximal:
+    """Classical stage and semi-stable: the stable family when it is not
+    empty, otherwise a range-cut search of the base family."""
+
+    def test_frameworks_without_a_stable_extension_match_bruteforce(self):
+        frameworks = no_stable_corpus()
+        assert len(frameworks) >= 100
+        rng = random.Random(23)
+        for f in frameworks:
+            assert not enumerate_bruteforce(f, SemanticsSpec(STABLE)), f.attacks
+            req = ConditionalRequirement((), ((Literal(rng.randrange(f.n), rng.randint(0, 1)),),))
+            for kind in (STAGE, SEMI_STABLE):
+                spec = SemanticsSpec(kind)
+                out = run(f, spec)
+                assert out.complete
+                assert out.solutions == enumerate_bruteforce(f, spec), f"{kind} on {f.attacks}"
+                request = EncodingRequest(f, spec, SearchConfig(), (req,))
+                got = enumerate_extensions(request).solutions.bitsets()
+                assert got == required_family(f, kind, req), f"{kind} under {req} on {f.attacks}"
+
+    @pytest.mark.parametrize("kind", [STAGE, SEMI_STABLE])
+    def test_capped_listings(self, kind):
+        spec = SemanticsSpec(kind)
+        for f in small_corpus(12) + no_stable_corpus()[::8]:
+            family = enumerate_bruteforce(f, spec).bitsets()
+            for cap in (1, 2, 3):
+                out = enumerate_extensions(EncodingRequest(f, spec, SearchConfig(solution_cap=cap)))
+                assert len(out.solutions) == min(cap, len(family)), f"cap {cap} on {f.attacks}"
+                assert out.complete == (len(family) <= cap), f"cap {cap} on {f.attacks}"
+                assert out.solutions.bitsets() <= family
+
+    def test_timed_out_stable_probe_returns_true_members(self):
+        # Listing the 74,564 stable sets of this lattice takes seconds.
+        f = netgen.generate(netgen.GenSpec(kind="kleinberg", side=8, seed=1, orient="both"))
+        for kind in (STAGE, SEMI_STABLE):
+            request = EncodingRequest(f, SemanticsSpec(kind), SearchConfig(timeout_ms=200))
+            out = enumerate_extensions(request)
+            assert not out.complete and len(out.solutions) > 0
+            for member in out.solutions:
+                assert check(f, member, SemanticsSpec(STABLE))
+
+    def test_cut_range_search_returns_no_members(self):
+        # No stable set; the range search of stage takes over 100 ms here.
+        f = netgen.generate(netgen.GenSpec(kind="kleinberg", side=6, seed=1, orient="coin"))
+        request = EncodingRequest(f, SemanticsSpec(STAGE), SearchConfig(timeout_ms=20))
+        out = enumerate_extensions(request)
+        assert not out.complete and len(out.solutions) == 0
+
+
 class TestOracleEquivalence:
     def test_classical_kinds_match_bruteforce(self):
         for f in small_corpus(12):
@@ -497,27 +585,18 @@ class TestUserRequirements:
             request = EncodingRequest(f, SemanticsSpec(kind), SearchConfig(), (forbid_c,))
             assert enumerate_extensions(request).solutions.bitsets() == bitsets(f, "a")
 
-    @pytest.mark.parametrize("kind", [PREFERRED, IDEAL])
+    @pytest.mark.parametrize("kind", [PREFERRED, IDEAL, SEMI_STABLE, STAGE])
     def test_extremal_kinds_filter_the_admissible_sets_that_meet_them(self, kind):
+        # The base family is the admissible one for preferred and ideal,
+        # the complete one for semi-stable and the conflict-free one for
+        # stage.
         rng = random.Random(61)
         for f in small_corpus(12):
             var = rng.randrange(f.n)
             req = ConditionalRequirement((), ((Literal(var, rng.randint(0, 1)),),))
-            model = apply_user_requirements(encode(f, SemanticsSpec(ADMISSIBLE)), (req,))
-            base = [
-                Extension(bits, f.n)
-                for bits in range(1 << f.n)
-                if check(f, Extension(bits, f.n), SemanticsSpec(ADMISSIBLE)) and satisfies(model, bits)
-            ]
-            maximal = model_extremal(base, "max")
-            if kind == IDEAL:
-                common = (1 << f.n) - 1
-                for ext in maximal:
-                    common &= ext.bits
-                maximal = model_extremal([e for e in base if e.bits & ~common == 0], "max")
             request = EncodingRequest(f, SemanticsSpec(kind), SearchConfig(), (req,))
             got = enumerate_extensions(request).solutions.bitsets()
-            assert got == {e.bits for e in maximal}, (f, req)
+            assert got == required_family(f, kind, req), (f, req)
 
     def test_exactly_one_consequence_against_truth_table(self):
         # contain 0 but not 1 => exactly one of 2, 3

@@ -23,6 +23,7 @@ from argsolve.engine import (
     evaluate,
     satisfies,
     solve_all,
+    solve_range_cut,
     solve_within_budget,
 )
 from argsolve.oracle import ANY_ATTACK, CONFLICT_FREE, STRICT, SemanticsSpec
@@ -325,19 +326,20 @@ class TestWeightedRules:
             Model(2, semiring=WEIGHTED, defenses=(WeightedDefense(0, 5, cost_value(1), ()),))
 
 
-class TestArgumentRules:
-    def random_rules(self, rng, n):
-        attackers = tuple(
-            sum(1 << p for p in range(n) if rng.random() < 0.3) for _ in range(n)
-        )
-        flags = [rng.random() < 0.5 for _ in range(4)]
-        return ArgumentRules(attackers, *flags)
+def random_argument_rules(rng, n):
+    attackers = tuple(
+        sum(1 << p for p in range(n) if rng.random() < 0.3) for _ in range(n)
+    )
+    flags = [rng.random() < 0.5 for _ in range(4)]
+    return ArgumentRules(attackers, *flags)
 
+
+class TestArgumentRules:
     def test_search_and_satisfies_match_the_literal_rules(self):
         rng = random.Random(2009)
         for trial in range(300):
             model = random_model(rng, max_vars=7)
-            rules = self.random_rules(rng, model.num_vars)
+            rules = random_argument_rules(rng, model.num_vars)
             # Some models carry extra nogoods and requirements, most do not.
             if trial % 3:
                 model = Model(model.num_vars)
@@ -372,6 +374,40 @@ class TestArgumentRules:
             Model(2, argumentation=ArgumentRules((0,)))
         with pytest.raises(ValueError):
             Model(2, argumentation=ArgumentRules((0b100, 0)))
+
+
+class TestRangeCut:
+    def test_candidates_hold_every_range_maximal_solution(self):
+        rng = random.Random(2012)
+        for trial in range(300):
+            model = random_model(rng, max_vars=7)
+            n = model.num_vars
+            rules = random_argument_rules(rng, n)
+            if trial % 3:
+                model = Model(n)
+            model = replace(model, argumentation=rules)
+            table = truth_table(model)
+
+            def range_of(bits):
+                return bits | sum(1 << x for x in range(n) if rules.attackers[x] & bits)
+
+            ranges = {bits: range_of(bits) for bits in table}
+            maximal = {
+                bits for bits, reach in ranges.items()
+                if not any(reach & other == reach != other for other in ranges.values())
+            }
+            out = solve_range_cut(model)
+            assert out.complete
+            assert maximal <= out.solutions.bitsets() <= table, rules
+
+    def test_needs_a_classical_uncapped_search(self):
+        rules = ArgumentRules((0b10, 0b01), conflict_free=True)
+        with pytest.raises(ValueError):
+            solve_range_cut(Model(2))
+        with pytest.raises(ValueError):
+            solve_range_cut(Model(2, argumentation=rules), SearchConfig(solution_cap=1))
+        with pytest.raises(ValueError):
+            solve_range_cut(Model(2, semiring=WEIGHTED, argumentation=rules))
 
 
 class TestWeightedExamples:
@@ -550,6 +586,19 @@ class TestSolverLifetime:
         try:
             solver = _Solver(model, SearchConfig())
             solver.run()
+            ref = weakref.ref(solver)
+            del solver
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_a_range_cut_solver_is_freed_by_reference_counting(self):
+        f = netgen.generate(netgen.GenSpec(kind="kleinberg", side=3, seed=1, orient="coin"))
+        model = encode(f, SemanticsSpec(CONFLICT_FREE))
+        gc.disable()
+        try:
+            solver = _Solver(model, SearchConfig())
+            solver.run_range_cut()
             ref = weakref.ref(solver)
             del solver
             assert ref() is None
